@@ -2,8 +2,8 @@
     dynamic-translation path.
 
     The driver runs a program mix round-robin over a shared DTB exactly
-    as [Uhm_sched.Mix] does, with three resilience layers threaded
-    through the hook points:
+    as [Uhm_sched.Mix] does, each program an {!Engine} attempt with
+    three resilience layers threaded through its hook points:
 
     - {b Injection} ({!Injector}): at every INTERP boundary, faults due
       at the current DIR step are applied — DTB tag-key bit flips,
@@ -41,7 +41,7 @@ module Machine := Uhm_machine.Machine
 module Dtb := Uhm_core.Dtb
 module Trace := Uhm_sched.Trace
 
-type config = {
+type config = Engine.config = {
   injector : Injector.spec;
   guards : bool;                  (** verify per-entry checksums on hits *)
   checkpoint_every : int option;  (** DIR steps between checkpoints;

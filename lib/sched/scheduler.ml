@@ -85,13 +85,11 @@ let run ?trace ~policy ~quantum ~dtb processes =
   if processes = [] then invalid_arg "Scheduler.run: no processes";
   if quantum < 1 then invalid_arg "Scheduler.run: quantum must be >= 1";
   let procs = Array.of_list processes in
-  let n = Array.length procs in
   Array.iteri
     (fun i p ->
       if p.asid <> i then
         invalid_arg "Scheduler.run: process ASIDs must be 0..n-1 in order")
     procs;
-  ignore n;
   let tell at_cycle kind =
     match trace with
     | Some tr -> Trace.record tr ~at_cycle kind

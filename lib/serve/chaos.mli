@@ -1,11 +1,13 @@
-(** Fault-tolerant serving: {!Serve.run}'s open-arrival loop with PR 4's
-    fault machinery threaded through every in-service ASID slot, plus a
-    service-level robustness policy.
+(** Fault-tolerant serving: the open-arrival serve loop
+    ({!Serve.run_policy}, the loop {!Serve.run} is at {!zero}) under a
+    fault policy, with the fault machinery threaded through every
+    in-service ASID slot, plus a service-level robustness policy.
 
     Three layers ride on top of the plain service:
 
-    - {b The fault machinery} (per attempt, lifted from
-      [Uhm_fault.Resilient]): seeded injection at INTERP boundaries,
+    - {b The fault machinery} (per attempt: {!Uhm_fault.Engine}, the
+      engine [Uhm_fault.Resilient] runs on too): seeded injection at
+      INTERP boundaries,
       per-entry {!Uhm_fault.Guard} checksums verified on DTB hits,
       invalidate-and-retranslate recovery with exponential backoff,
       checkpoint rollback for memory faults, and watchdog downgrade to
@@ -38,9 +40,12 @@
       produced a wrong answer.
 
     The headline pins, enforced in [test/test_chaos.ml]: under {!zero}
-    (no faults, no deadline, no brownout) a run is {e cycle- and
-    trace-identical} to {!Serve.run}; and at every grid point, every
-    job retired [Completed] has final state equal to its fault-free solo
+    (no faults, no deadline, no brownout), and under an armed injector
+    that never fires, a run reproduces the plain service's frozen
+    goldens in [test/frozen/serve.txt] — job records, summary, trace
+    events and tallies; the outcome classification and other fault runs
+    match [test/frozen/chaos.txt]; and at every grid point, every job
+    retired [Completed] has final state equal to its fault-free solo
     run. *)
 
 module Machine := Uhm_machine.Machine
@@ -49,7 +54,7 @@ module Scheduler := Uhm_sched.Scheduler
 module Resilient := Uhm_fault.Resilient
 
 (** The staged-degradation controller's knobs. *)
-type brownout = {
+type brownout = Fault_policy.brownout = {
   bo_window : int;
       (** sliding window, in cycles, over which detections are counted *)
   bo_hi_detections : int;
@@ -69,7 +74,7 @@ type brownout = {
 
 val default_brownout : brownout
 
-type config = {
+type config = Fault_policy.config = {
   c_fault : Resilient.config;
       (** the PR 4 machinery: injector spec, guards, checkpoint cadence,
           per-translation retry/backoff, watchdog *)
@@ -82,10 +87,11 @@ type config = {
 }
 
 val zero : config
-(** No faults, no deadline, no brownout: byte-identical to {!Serve.run}
-    (retry limit 2 and backoff 4096 are present but unreachable). *)
+(** No faults, no deadline, no brownout: the policy {!Serve.run} runs
+    under (retry limit 2 and backoff 4096 are present but
+    unreachable). *)
 
-type job_report = {
+type job_report = Fault_policy.job_report = {
   cj_id : int;
   cj_attempts : int;      (** attempts started; 0 for a shed job *)
   cj_injected : int;
@@ -101,7 +107,7 @@ type job_report = {
                               never ran) *)
 }
 
-type chaos_summary = {
+type chaos_summary = Fault_policy.chaos_summary = {
   cs_slo_met : int;          (** clean completions within the bound *)
   cs_slo_completed : int;    (** clean completions, the denominator *)
   cs_attainment : float;     (** [met / completed]; 1.0 with no deadline *)
@@ -122,14 +128,14 @@ type chaos_summary = {
 
 type result = {
   cv_serve : Serve.result;
-      (** the service-level result, same shape as {!Serve.run}'s — under
-          {!zero} equal to it field for field, trace included *)
+      (** the service-level result; under {!zero} it is {!Serve.run}'s *)
   cv_fconfig : config;
   cv_reports : job_report list;  (** in arrival order, shed included *)
   cv_summary : chaos_summary;
 }
 
-type solo_ref = { sr_status : Machine.status; sr_output : string; sr_arch_hash : int }
+type solo_ref = Fault_policy.solo_ref = {
+  sr_status : Machine.status; sr_output : string; sr_arch_hash : int }
 
 val solo_reference :
   ?timing:Uhm_machine.Timing.t ->

@@ -15,12 +15,21 @@
     slots are also evicted early (idle-time and footprint scoring) to
     return directory capacity to the tenants that are actually running.
 
+    There is one serve loop, {!run_policy}, and it takes the
+    fault-tolerance policy ({!Fault_policy.config}, documented in
+    {!Chaos}) as data: {!run} is that loop at the zero policy, with no
+    fault hook on any machine, and {!Chaos.run} is the same loop under
+    faults, deadlines and brownout.
+
     Everything is deterministic in the seed: the driver is serial, one
     virtual clock, and in the closed-system limit (all arrivals at cycle
     0, as many slots as jobs, no economy) it reproduces
     {!Uhm_sched.Scheduler.run}'s dispatch sequence, cycle counts and
     trace rollups bit for bit — the regression anchor that pins the open
-    system to the PR 3 goldens. *)
+    system to the scheduler's goldens.  The frozen goldens in
+    [test/frozen/serve.txt] pin job records, summaries, trace events and
+    tallies over a policy x scheduler x quantum x slots grid and three
+    directed cases. *)
 
 module Dtb := Uhm_core.Dtb
 module Machine := Uhm_machine.Machine
@@ -90,7 +99,9 @@ type summary = {
                                ([Failed] included) *)
   s_shed : int;
   s_total_cycles : int;    (** virtual clock at the end of the run *)
-  s_throughput : float;    (** retired jobs per million cycles *)
+  s_throughput : float;    (** jobs that completed with
+                               [Completed Machine.Halted], per million
+                               cycles *)
   s_p50 : int;             (** sojourn percentiles, exact nearest-rank *)
   s_p95 : int;
   s_p99 : int;
@@ -146,20 +157,27 @@ val run :
     [Invalid_argument] on empty [templates], an out-of-range template
     index, or arrivals out of order. *)
 
-val summarize :
-  njobs:int ->
-  total_cycles:int ->
-  max_depth:int ->
-  evictions:int ->
-  cold_evictions:int ->
-  switches:int ->
-  flushes:int ->
-  hit_ratio:float ->
-  job list ->
-  summary
-(** The summary arithmetic over a finished job list — shared with
-    {!Chaos.run} so the zero-fault configuration's summary is the same
-    record by construction, not by parallel reimplementation. *)
+val run_policy :
+  ?timing:Uhm_machine.Timing.t ->
+  ?fuel:int ->
+  ?layout:Uhm_psder.Layout.t ->
+  ?backend:Machine.backend ->
+  ?trace_capacity:int ->
+  ?scheduler:Scheduler.policy ->
+  ?admission:admission ->
+  ?economy:economy ->
+  policy:Dtb.policy ->
+  quantum:int ->
+  config:Dtb.config ->
+  fconfig:Fault_policy.config ->
+  slots:int ->
+  templates:(string * Uhm_encoding.Codec.encoded) list ->
+  arrivals:Arrival.arrival list ->
+  unit ->
+  result * Fault_policy.job_report list * Fault_policy.chaos_summary
+(** The serve loop under a fault-tolerance policy: {!run} is this loop at
+    [Fault_policy.zero], {!Chaos.run} packages its result.  See
+    {!Chaos} for what the policy does and reports. *)
 
 val slo : bound:int -> job list -> int * int * float
 (** [slo ~bound jobs] is [(met, completed, attainment)]: of the jobs

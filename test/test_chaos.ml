@@ -1,6 +1,5 @@
-(* Tests for fault-tolerant serving: the zero-config differential pin
-   against the plain service (cycle- and trace-identical, QCheck'd over
-   policies, schedulers, quanta, seeds and slot counts), exhaustive
+(* Tests for fault-tolerant serving: the zero policy and an armed but
+   silent injector against the plain service's frozen goldens, exhaustive
    outcome classification with pinned seeded counts (met-SLO / late /
    retried-then-ok / failed / shed), exact trace rollups for the new
    event kinds, a directed brownout staging run, the end-state recovery
@@ -13,7 +12,6 @@ module Codec = Uhm_encoding.Codec
 module Machine = Uhm_machine.Machine
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
-module Scheduler = Uhm_sched.Scheduler
 module Injector = Uhm_fault.Injector
 module Resilient = Uhm_fault.Resilient
 module Arrival = Uhm_serve.Arrival
@@ -38,38 +36,17 @@ let mixed_templates () =
         (n, Codec.encode Kind.Huffman (Uhm_ftn.Suite.compile (Uhm_ftn.Suite.find n))))
       [ "ftn_euclid"; "ftn_fib" ]
 
-(* -- Tentpole: zero-config identity with the plain service ------------------ *)
+(* -- The zero policy against the frozen service goldens ---------------------- *)
 
-(* Chaos.run under Chaos.zero must be byte-identical to Serve.run: same
-   job records, same summary, same event trace.  Trace.t holds
-   hashtables, so the trace is compared through its exact observables. *)
-let check_zero_identity ~policy ~scheduler ~quantum ~slots ~seed ~jobs
-    ?admission ?economy () =
-  let templates = mixed_templates () in
-  let arrivals =
-    Arrival.generate ~seed ~templates:(List.length templates) ~jobs
-      (Arrival.Poisson { rate = 1500.0 })
-  in
-  let plain =
-    Serve.run ~scheduler ?admission ?economy ~policy ~quantum
-      ~config:small_config ~slots ~templates ~arrivals ()
-  in
-  let chaos =
-    Chaos.run ~scheduler ?admission ?economy ~policy ~quantum
-      ~config:small_config ~fconfig:Chaos.zero ~slots ~templates ~arrivals ()
-  in
-  let c = chaos.Chaos.cv_serve in
-  check_bool "jobs identical" true (plain.Serve.sv_jobs = c.Serve.sv_jobs);
-  check_bool "summary identical" true
-    (plain.Serve.sv_summary = c.Serve.sv_summary);
-  check_int "events recorded" (Trace.recorded plain.Serve.sv_trace)
-    (Trace.recorded c.Serve.sv_trace);
-  check_bool "event window identical" true
-    (Trace.events plain.Serve.sv_trace = Trace.events c.Serve.sv_trace);
-  check_bool "tallies identical" true
-    (Trace.tallies plain.Serve.sv_trace = Trace.tallies c.Serve.sv_trace);
-  (* and the chaos layer itself stayed quiet *)
-  let s = chaos.Chaos.cv_summary in
+(* Serve.run is the serve loop at Chaos.zero, so Chaos.run under a
+   policy that cannot fire must reproduce the plain service's frozen
+   lines (test/frozen/serve.txt): the same job records, summary, event
+   trace and tallies.  The chaos layer itself must stay quiet. *)
+let check_against_frozen label (r : Chaos.result) =
+  check_string label
+    (Test_frozen.frozen_line "serve.txt" label)
+    (Test_frozen.serve_line label r.Chaos.cv_serve);
+  let s = r.Chaos.cv_summary in
   check_int "no failures" 0 s.Chaos.cs_failed_jobs;
   check_int "no job retries" 0 s.Chaos.cs_job_retries;
   check_int "no injections" 0 s.Chaos.cs_injected;
@@ -78,33 +55,36 @@ let check_zero_identity ~policy ~scheduler ~quantum ~slots ~seed ~jobs
   Alcotest.(check (float 1e-9)) "attainment 1.0" 1.0 s.Chaos.cs_attainment
 
 let test_zero_identity_directed () =
-  check_zero_identity ~policy:Dtb.Tagged ~scheduler:Scheduler.Round_robin
-    ~quantum:24 ~slots:3 ~seed:5 ~jobs:120 ();
-  check_zero_identity ~policy:Dtb.Flush_on_switch
-    ~scheduler:Scheduler.Round_robin ~quantum:8 ~slots:1 ~seed:9 ~jobs:80 ();
-  check_zero_identity ~policy:Dtb.Partitioned
-    ~scheduler:Scheduler.Shortest_remaining ~quantum:48 ~slots:4 ~seed:2
-    ~jobs:100
-    ~admission:{ Serve.queue_capacity = 8; shed_above = Some 6 }
-    ~economy:Serve.default_economy ()
+  List.iter
+    (fun (d : Test_frozen.directed) ->
+      check_against_frozen d.Test_frozen.d_label
+        (Test_frozen.chaos_directed ~fconfig:Chaos.zero d))
+    Test_frozen.directed
 
-let qcheck_zero_identity =
-  QCheck.Test.make ~count:12 ~name:"chaos zero = serve (policies/quanta/seeds)"
-    QCheck.(
-      quad (int_range 0 2) (int_range 1 64) (int_range 0 1000) (int_range 1 4))
-    (fun (p, quantum, seed, slots) ->
-      let policy =
-        match p with
-        | 0 -> Dtb.Flush_on_switch
-        | 1 -> Dtb.Tagged
-        | _ -> Dtb.Partitioned
-      in
-      let scheduler =
-        if seed mod 2 = 0 then Scheduler.Round_robin
-        else Scheduler.Shortest_remaining
-      in
-      check_zero_identity ~policy ~scheduler ~quantum ~slots ~seed ~jobs:60 ();
-      true)
+(* Armed but silent: an injector whose only event is stamped past any
+   reachable step, guards off.  Every attempt carries the fault hook and
+   end-state verification is on, yet nothing fires — so every run must
+   still be the plain service's frozen line. *)
+let test_armed_but_silent () =
+  let injector =
+    {
+      Injector.seed = 1;
+      rates = [];
+      explicit = [ (0, max_int, Injector.Psder_word) ];
+    }
+  in
+  check_bool "the injector is armed" false (Injector.is_zero injector);
+  let fconfig =
+    {
+      Chaos.zero with
+      Chaos.c_fault = { Resilient.zero with Resilient.injector };
+    }
+  in
+  List.iter
+    (fun ((label, _, _, quantum, _) as cell) ->
+      if quantum = 24 then
+        check_against_frozen label (Test_frozen.chaos_cell ~fconfig cell))
+    Test_frozen.grid_cells
 
 (* -- Tentpole: exhaustive outcome classification ---------------------------- *)
 
@@ -116,36 +96,7 @@ let qcheck_zero_identity =
    (string_out) cycles, so 2 slots give ~9 clean jobs/Mcycle against 5
    offered, and the fault-inflated service keeps the cap-4 queue
    saturated. *)
-let classification_run () =
-  let templates = algol_templates [ "fact_iter"; "string_out" ] in
-  let arrivals =
-    Arrival.generate ~seed:31 ~templates:(List.length templates) ~jobs:120
-      (Arrival.Poisson { rate = 5.0 })
-  in
-  let fconfig =
-    {
-      Chaos.c_fault =
-        {
-          Resilient.zero with
-          Resilient.injector =
-            {
-              Injector.seed = 1203;
-              rates = [ (Injector.Psder_word, 0.004) ];
-              explicit = [];
-            };
-        };
-      c_job_retry_limit = 2;
-      c_job_backoff = 2048;
-      c_deadline = Some 1_000_000;
-      c_brownout = None;
-    }
-  in
-  (* the fuel bound matters: a corrupted attempt can loop, and must trap
-     out rather than hold its slot for billions of cycles *)
-  Chaos.run ~fuel:500_000 ~policy:Dtb.Tagged ~quantum:24 ~config:small_config
-    ~fconfig
-    ~admission:{ Serve.queue_capacity = 4; shed_above = None }
-    ~slots:2 ~templates ~arrivals ()
+let classification_run = Test_frozen.classification_run
 
 let classify (r : Chaos.result) =
   let reports = Array.of_list r.Chaos.cv_reports in
@@ -515,7 +466,8 @@ let suite =
     [
       Alcotest.test_case "zero-config identity (directed)" `Quick
         test_zero_identity_directed;
-      QCheck_alcotest.to_alcotest qcheck_zero_identity;
+      Alcotest.test_case "armed but silent = plain service" `Quick
+        test_armed_but_silent;
       Alcotest.test_case "outcome classification (pinned)" `Quick
         test_outcome_classification;
       Alcotest.test_case "new trace kinds roll up exactly" `Quick
