@@ -1,4 +1,5 @@
 (* Sweeps, crash-safe campaigns and multiprogramming. *)
 let () =
   Runner.run "uhm-sched"
-    [ Test_sweep.suite; Test_campaign.suite; Test_resume.suite; Test_sched.suite ]
+    [ Test_sweep.suite; Test_campaign.suite; Test_resume.suite; Test_sched.suite;
+      Test_frozen.mix_suite ]
