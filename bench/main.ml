@@ -918,8 +918,8 @@ let mix () =
   section
     "X11: multiprogramming -- three programs time-sliced over one shared \
      DTB";
-  let module SX = Uhm_sched.Experiment in
-  let module Mix = Uhm_sched.Mix in
+  let module SX = Uhm_fault.Experiment in
+  let module Mix = Uhm_fault.Mix in
   let programs = List.map (fun name -> (name, compile name)) representative in
   (* single-program reference cycles: the quantum->infinity rows of the
      grid must reproduce these exactly, for every policy *)
@@ -937,7 +937,7 @@ let mix () =
       "programs=" ^ String.concat "," (List.map fst programs);
       "policies=" ^ String.concat "," (List.map Dtb.policy_name policies);
       "quanta="
-      ^ String.concat "," (List.map string_of_int SX.default_quanta) ]
+      ^ String.concat "," (List.map string_of_int SX.mix_default_quanta) ]
   in
   let setup =
     campaign_setup ~target:"mix" ~fingerprint ~cells:(List.length axes)

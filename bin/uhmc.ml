@@ -569,10 +569,10 @@ let perf_cmd =
 (* -- mix ---------------------------------------------------------------------- *)
 
 let mix_cmd =
-  let module Mix = Uhm_sched.Mix in
+  let module Mix = Uhm_fault.Mix in
   let module Scheduler = Uhm_sched.Scheduler in
   let module Trace = Uhm_sched.Trace in
-  let module SX = Uhm_sched.Experiment in
+  let module SX = Uhm_fault.Experiment in
   let programs_arg =
     Arg.(value & opt_all string []
          & info [ "p"; "program" ] ~docv:"NAME"

@@ -124,8 +124,9 @@ val prepare_dtb_shared : ?timing:Timing.t -> ?fuel:int
     capacity, overflow blocks), and a program only ever executes
     translations it installed itself.  [on_translation] fires at every
     translation this machine starts (the trace layer's tap).  The caller
-    drives execution with [Machine.run_dir_quantum] and owns
-    [Dtb.switch_to] at context switches. *)
+    drives execution with [Machine.run_dir_quantum] and switches the
+    DTB's current ASID at context switches ([Uhm_fault.Engine.dispatch]
+    does both). *)
 
 val prepare_dtb_custom : ?timing:Timing.t -> ?fuel:int
   -> ?layout:Uhm_psder.Layout.t -> ?backend:Machine.backend

@@ -9,6 +9,7 @@ module U = Uhm_core.Uhm
 module Codec = Uhm_encoding.Codec
 module Layout = Uhm_psder.Layout
 module Trace = Uhm_sched.Trace
+module Scheduler = Uhm_sched.Scheduler
 
 type config = {
   injector : Injector.spec;
@@ -63,10 +64,18 @@ type env = {
   mem_faults : bool;
   mutable now : int; (* the driver's clock when the current slice began *)
   mutable c0 : int;  (* the sliced attempt's cycles when it began *)
+  (* the dispatch state *)
+  slots : int;
+  flushes0 : int;
+  mutable last : int; (* the slot dispatched last; -1 before the first *)
+  mutable switches : int;
+  slot_hits : int array; (* DTB activity during each slot's slices *)
+  slot_misses : int array;
+  slot_evictions : int array;
 }
 
 let env ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
-    ?(on_detect = fun ~at:_ ~asid:_ -> ()) ~dtb ~trace ~tagged_keys fc =
+    ?(on_detect = fun ~at:_ ~asid:_ -> ()) ~dtb ~trace ~slots ~tagged_keys fc =
   let mem_faults = Injector.can_inject fc.injector Injector.Mem_word in
   if mem_faults && fc.checkpoint_every = None then
     invalid_arg "Engine.env: Mem_word faults require checkpoint_every";
@@ -84,7 +93,22 @@ let env ?(timing = Timing.paper) ?fuel ?(layout = Layout.default) ?backend
     mem_faults;
     now = 0;
     c0 = 0;
+    slots;
+    flushes0 = Dtb.flushes dtb;
+    last = -1;
+    switches = 0;
+    slot_hits = Array.make slots 0;
+    slot_misses = Array.make slots 0;
+    slot_evictions = Array.make slots 0;
   }
+
+let dtb e = e.dtb
+let trace e = e.trace
+let switches e = e.switches
+let flushes e = Dtb.flushes e.dtb - e.flushes0
+
+let slot_dtb e ~asid =
+  (e.slot_hits.(asid), e.slot_misses.(asid), e.slot_evictions.(asid))
 
 let cycles t = t.base_cycles + (Machine.stats t.machine).Machine.cycles
 let output t = t.out_prefix ^ Machine.output t.machine
@@ -416,6 +440,96 @@ let slice ?(contain = false) e t ~now ~quantum =
         | _ -> ()
   end;
   cycles t - c0
+
+(* -- Dispatch ------------------------------------------------------------------ *)
+
+(* SRTF is preemptive: a long program gets the machine only while
+   nothing shorter is runnable. *)
+let pick e policy ~runnable ~remaining =
+  match policy with
+  | Scheduler.Round_robin ->
+      let rec scan k =
+        if k = e.slots then None
+        else
+          let i = (e.last + 1 + k) mod e.slots in
+          if runnable i then Some i else scan (k + 1)
+      in
+      scan 0
+  | Scheduler.Shortest_remaining ->
+      let best = ref None in
+      for i = 0 to e.slots - 1 do
+        if runnable i then
+          let r = remaining i in
+          match !best with
+          | Some (_, b) when b <= r -> ()
+          | _ -> best := Some (i, r)
+      done;
+      Option.map fst !best
+
+let dispatch ?contain e t ~now ~quantum =
+  let i = t.asid and dtb = e.dtb in
+  let tell at kind = Trace.record e.trace ~at_cycle:at kind in
+  if i <> e.last then begin
+    let from_asid = if e.last < 0 then None else Some e.last in
+    let before = Dtb.flushes dtb in
+    (* a downgraded attempt no longer consults the DTB, but the switch
+       still changes the current address space — under Flush_on_switch
+       that flush is part of the policy's cost *)
+    Dtb.switch_to dtb ~asid:i;
+    e.switches <- e.switches + 1;
+    tell now (Trace.Switch { from_asid; to_asid = i });
+    if Dtb.flushes dtb > before then tell now (Trace.Dtb_flush { asid = i })
+  end;
+  e.last <- i;
+  let h0 = Dtb.hits dtb and m0 = Dtb.misses dtb and v0 = Dtb.evictions dtb in
+  let now = now + slice ?contain e t ~now ~quantum in
+  e.slot_hits.(i) <- e.slot_hits.(i) + Dtb.hits dtb - h0;
+  e.slot_misses.(i) <- e.slot_misses.(i) + Dtb.misses dtb - m0;
+  e.slot_evictions.(i) <- e.slot_evictions.(i) + Dtb.evictions dtb - v0;
+  (match t.finished with
+  | Some status ->
+      tell now (Trace.Completion { asid = i; ok = status = Machine.Halted })
+  | None -> tell now (Trace.Quantum_expiry { asid = i }));
+  now
+
+let run_closed ?timing ?fuel ?(layout = Layout.default) ?backend
+    ?(trace_capacity = 65536) ~scheduler ~policy ~quantum ~config fc encodeds =
+  if encodeds = [] then invalid_arg "Engine.run_closed: no programs";
+  if quantum < 1 then invalid_arg "Engine.run_closed: quantum must be >= 1";
+  let n = List.length encodeds in
+  let dtb =
+    Dtb.create_shared ~policy ~programs:n config
+      ~buffer_base:(layout.Layout.dtb_buffer_base + 1)
+  in
+  let e =
+    env ?timing ?fuel ~layout ?backend ~dtb
+      ~trace:(Trace.create ~capacity:trace_capacity ())
+      ~slots:n ~tagged_keys:(policy <> Dtb.Flush_on_switch && n > 1) fc
+  in
+  let attempts =
+    Array.of_list
+      (List.mapi (fun asid enc -> create e ~asid ~stream:asid enc) encodeds)
+  in
+  (* the reference step counts are only needed (and paid for) under SRTF *)
+  let total =
+    lazy
+      (Array.map
+         (fun t -> U.dir_steps_memoized t.encoded.Codec.program)
+         attempts)
+  in
+  let remaining i =
+    max 0
+      ((Lazy.force total).(i)
+      - (Machine.stats attempts.(i).machine).Machine.interp_count)
+  in
+  let runnable i = Option.is_none attempts.(i).finished in
+  let rec go now =
+    match pick e scheduler ~runnable ~remaining with
+    | None -> now
+    | Some i -> go (dispatch e attempts.(i) ~now ~quantum)
+  in
+  let clock = go 0 in
+  (e, attempts, clock)
 
 (* The architectural-state fingerprint behind the recovery invariant:
    frame/stack registers plus every live operand-stack and data word.

@@ -1,4 +1,5 @@
-(* The fault-campaign grid; see experiment.mli. *)
+(* The fault-campaign grid and the multiprogramming grid; see
+   experiment.mli. *)
 
 module Sweep = Uhm_core.Sweep
 module Dtb = Uhm_core.Dtb
@@ -6,6 +7,7 @@ module U = Uhm_core.Uhm
 module Codec = Uhm_encoding.Codec
 module Trace = Uhm_sched.Trace
 module Machine = Uhm_machine.Machine
+module Scheduler = Uhm_sched.Scheduler
 
 type point = {
   fp_class : Injector.fault_class;
@@ -54,6 +56,24 @@ let fault_axes ~quanta ~classes ~rates ~policies ~configs () =
         rates)
     classes
 
+(* Encode once, in parallel.  The per-program dir_steps computed here
+   are the SRTF estimates and, summed, every cell's cost hint. *)
+let encode_all ?domains ~kind programs =
+  let encodeds =
+    Sweep.map ?domains
+      (fun (name, p) -> (name, Codec.encode kind p, U.dir_steps_memoized p))
+      programs
+  in
+  ( List.map (fun (n, e, _) -> (n, e)) encodeds,
+    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds )
+
+(* A cell's host time scales with the simulated work; small quanta under
+   Flush_on_switch retranslate the working set every slice, so weight
+   them as longer jobs. *)
+let slice_cost ~total_steps ~policy ~quantum =
+  let slices = max 1 (total_steps / max 1 quantum) in
+  total_steps + match policy with Dtb.Flush_on_switch -> slices * 64 | _ -> 0
+
 (* Shared machinery of both grid variants: encodings, the fault-free
    baselines (one per (policy, quantum, config), computed on the pool and
    shared by every cell), the cell list with cost hints, and the
@@ -65,13 +85,7 @@ let fault_grid_prep ?domains ~quanta ~seed ~trace_capacity ~retry_limit
   if programs = [] then invalid_arg (grid_name ^ ": no programs");
   if classes = [] || rates = [] || policies = [] || configs = [] || quanta = []
   then invalid_arg (grid_name ^ ": empty grid axis");
-  let encodeds =
-    Sweep.map ?domains
-      (fun (name, p) -> (name, Codec.encode kind p, U.dir_steps_memoized p))
-      programs
-  in
-  let total_steps = List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds in
-  let encoded_programs = List.map (fun (n, e, _) -> (n, e)) encodeds in
+  let encoded_programs, total_steps = encode_all ?domains ~kind programs in
   (* fault-free baselines, one per (policy, quantum, config) *)
   let baseline_keys =
     List.concat_map
@@ -97,9 +111,7 @@ let fault_grid_prep ?domains ~quanta ~seed ~trace_capacity ~retry_limit
     |> List.mapi (fun index cell -> (index, cell))
   in
   let cost (_, (cls, rate, policy, quantum, _)) =
-    let slices = max 1 (total_steps / max 1 quantum) in
-    total_steps
-    + (match policy with Dtb.Flush_on_switch -> slices * 64 | _ -> 0)
+    slice_cost ~total_steps ~policy ~quantum
     + int_of_float (float_of_int total_steps *. rate *. 100.)
     + (if cls = Injector.Mem_word then total_steps / 4 else 0)
   in
@@ -199,4 +211,86 @@ let fault_grid_slots ?domains ?(quanta = [ 64 ]) ?(seed = 1)
       ~grid_name:"Experiment.fault_grid_slots" programs
   in
   Sweep.map_supervised ?supervision ?cached ?cell_hook ?domains ~cost point_of
+    cells
+
+(* -- The multiprogramming grid ------------------------------------------------- *)
+
+type mix_cell = {
+  mc_policy : Dtb.policy;
+  mc_scheduler : Scheduler.policy;
+  mc_quantum : int;
+  mc_config : Dtb.config;
+  mc_result : Mix.result;
+}
+
+let mix_default_quanta = [ 16; 256; Mix.solo_quantum ]
+
+let mix_axes ?(schedulers = [ Scheduler.Round_robin ])
+    ?(quanta = mix_default_quanta) ~policies ~configs () =
+  List.concat_map
+    (fun policy ->
+      List.concat_map
+        (fun scheduler ->
+          List.concat_map
+            (fun quantum ->
+              List.map (fun config -> (policy, scheduler, quantum, config)) configs)
+            quanta)
+        schedulers)
+    policies
+
+let mix_cell_of ~trace_capacity ?fuel ?backend encoded_programs
+    (policy, scheduler, quantum, config) =
+  {
+    mc_policy = policy;
+    mc_scheduler = scheduler;
+    mc_quantum = quantum;
+    mc_config = config;
+    mc_result =
+      Mix.run_encoded ?fuel ?backend ~trace_capacity ~scheduler ~policy
+        ~quantum ~config encoded_programs;
+  }
+
+let mix_grid ?domains ?schedulers ?quanta ?(trace_capacity = 4096) ?backend
+    ~kind ~policies ~configs programs =
+  if programs = [] then invalid_arg "Experiment.mix_grid: no programs";
+  let encoded_programs, total_steps = encode_all ?domains ~kind programs in
+  let cells = mix_axes ?schedulers ?quanta ~policies ~configs () in
+  Sweep.map ?domains
+    ~cost:(fun (policy, _, quantum, _) ->
+      slice_cost ~total_steps ~policy ~quantum)
+    (mix_cell_of ~trace_capacity ?backend encoded_programs)
+    cells
+
+let mix_grid_slots ?domains ?schedulers ?quanta ?(trace_capacity = 4096)
+    ?backend ?supervision ?cached ?cell_hook ?cell_fuel ?(poison = []) ~kind
+    ~policies ~configs programs =
+  if programs = [] then invalid_arg "Experiment.mix_grid_slots: no programs";
+  let encoded_programs, total_steps = encode_all ?domains ~kind programs in
+  let cells =
+    List.mapi (fun i c -> (i, c)) (mix_axes ?schedulers ?quanta ~policies ~configs ())
+  in
+  Sweep.map_supervised ?supervision ?cached ?cell_hook ?domains
+    ~cost:(fun (_, (policy, _, quantum, _)) ->
+      slice_cost ~total_steps ~policy ~quantum)
+    (fun (i, axes) ->
+      if List.mem i poison then
+        failwith (Printf.sprintf "cell %d poisoned (campaign testing aid)" i);
+      let cell =
+        mix_cell_of ~trace_capacity ?fuel:cell_fuel ?backend encoded_programs
+          axes
+      in
+      (* under supervision a cell whose programs did not halt is a failed
+         cell (to be retried/quarantined), not a result: a trap is poison,
+         and fuel exhaustion is the deterministic wedged-job budget *)
+      List.iter
+        (fun (pr : Mix.program_result) ->
+          match pr.Mix.pr_status with
+          | Machine.Halted -> ()
+          | Machine.Out_of_fuel ->
+              failwith (pr.Mix.pr_name ^ " ran out of fuel")
+          | Machine.Trapped m ->
+              failwith (pr.Mix.pr_name ^ " trapped: " ^ m)
+          | Machine.Running -> assert false)
+        cell.mc_result.Mix.mr_programs;
+      cell)
     cells

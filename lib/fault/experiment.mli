@@ -66,6 +66,7 @@ val fault_grid :
     pool starts them first. *)
 
 module Sweep := Uhm_core.Sweep
+module Scheduler := Uhm_sched.Scheduler
 
 val fault_axes :
   quanta:int list ->
@@ -108,4 +109,102 @@ val fault_grid_slots :
     failure remains a reported verdict ([fp_recovered_ok = false]).
     Completed slots are byte-identical to the corresponding
     {!fault_grid} points.  The encode and baseline pre-passes stay
+    unsupervised. *)
+
+(** {1 Shared by the grids} *)
+
+val encode_all :
+  ?domains:int ->
+  kind:Uhm_encoding.Kind.t ->
+  (string * Uhm_dir.Program.t) list ->
+  (string * Uhm_encoding.Codec.encoded) list * int
+(** Encode every program on the pool; also returns the sum of their
+    reference DIR step counts, the base of a cell's cost hint. *)
+
+val slice_cost : total_steps:int -> policy:Dtb.policy -> quantum:int -> int
+(** A cell's cost hint: its DIR steps, plus a retranslation charge per
+    slice under [Flush_on_switch]. *)
+
+(** {1 The multiprogramming grid}
+
+    Programs x sharing policy x scheduler x quantum x DTB geometry under
+    the closed {!Mix} driver, evaluated on the same pool.
+
+    Every cell runs the same program mix to completion under time-slicing
+    and reports per-program cycles and DTB statistics ({!Mix.result}).
+    Cells are independent (each builds its own shared DTB and machines),
+    so the grid parallelises like any other sweep and the result list is
+    byte-identical at any domain count.  The sweep is given each cell's
+    estimated simulated work as its cost hint, so expensive cells (big
+    mixes, small quanta under [Flush_on_switch]) start first. *)
+
+type mix_cell = {
+  mc_policy : Dtb.policy;
+  mc_scheduler : Scheduler.policy;
+  mc_quantum : int;
+  mc_config : Dtb.config;
+  mc_result : Mix.result;
+}
+
+val mix_default_quanta : int list
+(** [16; 256; solo_quantum] — heavy contention, light contention, and the
+    quantum-to-infinity limit that must reproduce single-program golden
+    numbers. *)
+
+val mix_grid :
+  ?domains:int ->
+  ?schedulers:Scheduler.policy list ->
+  ?quanta:int list ->
+  ?trace_capacity:int ->
+  ?backend:Uhm_machine.Machine.backend ->
+  kind:Uhm_encoding.Kind.t ->
+  policies:Dtb.policy list ->
+  configs:Dtb.config list ->
+  (string * Uhm_dir.Program.t) list ->
+  mix_cell list
+(** Cells in submission order: policies outermost, then schedulers, then
+    quanta, then configs.  [schedulers] defaults to round-robin only;
+    [quanta] to {!mix_default_quanta}; [trace_capacity] to a small ring
+    (4096) since grids keep every cell's trace alive.  [backend] selects
+    the execution backend for every machine in every cell (default
+    [`Decode]); cell contents are identical under both. *)
+
+val mix_axes :
+  ?schedulers:Scheduler.policy list ->
+  ?quanta:int list ->
+  policies:Dtb.policy list ->
+  configs:Dtb.config list ->
+  unit ->
+  (Dtb.policy * Scheduler.policy * int * Dtb.config) list
+(** The grid's cell axes in submission order — what cell index [i] of
+    {!mix_grid}/{!mix_grid_slots} ran.  Lets a caller describe a
+    quarantined cell (whose [mix_cell] never materialised) and build a
+    journal fingerprint. *)
+
+val mix_grid_slots :
+  ?domains:int ->
+  ?schedulers:Scheduler.policy list ->
+  ?quanta:int list ->
+  ?trace_capacity:int ->
+  ?backend:Uhm_machine.Machine.backend ->
+  ?supervision:Sweep.supervision ->
+  ?cached:(int -> mix_cell option) ->
+  ?cell_hook:(index:int -> attempts:int -> mix_cell Sweep.slot -> unit) ->
+  ?cell_fuel:int ->
+  ?poison:int list ->
+  kind:Uhm_encoding.Kind.t ->
+  policies:Dtb.policy list ->
+  configs:Dtb.config list ->
+  (string * Uhm_dir.Program.t) list ->
+  mix_cell Sweep.slot list
+(** {!mix_grid} under campaign supervision: a failing cell is retried and
+    then quarantined instead of aborting the grid, and [cached]/
+    [cell_hook] plug in a {!Uhm_campaign} journal.  Under supervision a
+    cell whose programs did not all halt {e fails} (and is quarantined)
+    rather than reporting a poisoned row; [cell_fuel] bounds each
+    program's machine with the PR 4 fuel machinery, turning a wedged cell
+    into a deterministic failure.  [poison] (a testing aid for the
+    quarantine path, used by the CI smoke) makes the listed cell indices
+    raise on every attempt.  Completed slots are byte-identical to the
+    corresponding {!mix_grid} cells.  The encode pre-pass stays
     unsupervised. *)

@@ -1,16 +1,15 @@
 (** Fault injection, guarded translations and recovery over the
     dynamic-translation path.
 
-    The driver runs a program mix round-robin over a shared DTB exactly
-    as [Uhm_sched.Mix] does, each program an {!Engine} attempt with
-    three resilience layers threaded through its hook points:
+    The driver is the closed loop {!Engine.run_closed}, round-robin over
+    a shared DTB, each program an {!Engine} attempt with three
+    resilience layers threaded through its hook points.  {!Mix} is the
+    same loop at {!zero}.
 
     - {b Injection} ({!Injector}): at every INTERP boundary, faults due
       at the current DIR step are applied — DTB tag-key bit flips,
       translation-buffer word bit flips, dropped translator installs,
-      and level-1 data-word bit flips.  With {!zero} (or any spec whose
-      rates are all zero) the run is {e cycle- and trace-identical} to
-      [Mix.run_encoded].
+      and level-1 data-word bit flips.
 
     - {b Detection and recovery}: per-entry {!Guard} checksums are
       verified on every DTB hit (cost [t_guard] per word, charged to the
@@ -58,7 +57,8 @@ type config = Engine.config = {
 }
 
 val zero : config
-(** No faults, no guards, no checkpoints: byte-identical to [Mix]. *)
+(** No faults, no guards, no checkpoints: the silent config, under which
+    no fault hook exists.  {!Mix} runs at it. *)
 
 val protected : ?checkpoint_every:int -> Injector.spec -> config
 (** Guards on, checkpoints on iff the spec can produce [Mem_word]

@@ -2,12 +2,11 @@
 
 module Sweep = Uhm_core.Sweep
 module Dtb = Uhm_core.Dtb
-module U = Uhm_core.Uhm
-module Codec = Uhm_encoding.Codec
 module Machine = Uhm_machine.Machine
 module Scheduler = Uhm_sched.Scheduler
 module Injector = Uhm_fault.Injector
 module Resilient = Uhm_fault.Resilient
+module FExp = Uhm_fault.Experiment
 
 type shape = Open_poisson | Open_bursty of { burst : float; idle : float }
 
@@ -43,15 +42,12 @@ let load_axes ?(quanta = [ 64 ]) ~rates ~policies () =
    template to completion, and small quanta under Flush_on_switch
    retranslate working sets every slice *)
 let load_cost ~mean_steps ~jobs (policy, quantum, _) =
-  let total = mean_steps * jobs in
-  let slices = max 1 (total / max 1 quantum) in
-  total + match policy with Dtb.Flush_on_switch -> slices * 64 | _ -> 0
+  FExp.slice_cost ~total_steps:(mean_steps * jobs) ~policy ~quantum
 
 (* encode the template pool once, in parallel, as in the mix grid *)
-let load_encodeds ?domains ~kind programs =
-  Sweep.map ?domains
-    (fun (name, p) -> (name, Codec.encode kind p, U.dir_steps_memoized p))
-    programs
+let load_templates ?domains ~kind programs =
+  let templates, total_steps = FExp.encode_all ?domains ~kind programs in
+  (templates, total_steps / List.length templates)
 
 let load_cell_of ~trace_capacity ?scheduler ?backend ?shape:(sh = Open_poisson)
     ?admission ?economy ?cell_fuel ?weights ~seed ~jobs ~slots ~config templates
@@ -74,12 +70,7 @@ let load_grid ?domains ?scheduler ?quanta ?(trace_capacity = 4096) ?backend
     ?shape ?admission ?economy ?cell_fuel ?weights ~seed ~jobs ~slots ~kind
     ~policies ~rates ~config programs =
   if programs = [] then invalid_arg "Experiment.load_grid: no programs";
-  let encodeds = load_encodeds ?domains ~kind programs in
-  let mean_steps =
-    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
-    / List.length encodeds
-  in
-  let templates = List.map (fun (n, e, _) -> (n, e)) encodeds in
+  let templates, mean_steps = load_templates ?domains ~kind programs in
   let cells = load_axes ?quanta ~rates ~policies () in
   Sweep.map ?domains
     ~cost:(load_cost ~mean_steps ~jobs)
@@ -92,12 +83,7 @@ let load_grid_slots ?domains ?scheduler ?quanta ?(trace_capacity = 4096)
     ?cell_fuel ?weights ?(poison = []) ~seed ~jobs ~slots ~kind ~policies
     ~rates ~config programs =
   if programs = [] then invalid_arg "Experiment.load_grid_slots: no programs";
-  let encodeds = load_encodeds ?domains ~kind programs in
-  let mean_steps =
-    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
-    / List.length encodeds
-  in
-  let templates = List.map (fun (n, e, _) -> (n, e)) encodeds in
+  let templates, mean_steps = load_templates ?domains ~kind programs in
   let cells =
     List.mapi (fun i c -> (i, c)) (load_axes ?quanta ~rates ~policies ())
   in
@@ -221,12 +207,7 @@ let resilience_grid ?domains ?scheduler ?quanta ?(trace_capacity = 4096)
     ?backoff ?checkpoint_every ?deadline ?brownout ?(fault_seed = 4242) ~seed
     ~jobs ~slots ~kind ~policies ~fault_rates ~rates ~config programs =
   if programs = [] then invalid_arg "Experiment.resilience_grid: no programs";
-  let encodeds = load_encodeds ?domains ~kind programs in
-  let mean_steps =
-    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
-    / List.length encodeds
-  in
-  let templates = List.map (fun (n, e, _) -> (n, e)) encodeds in
+  let templates, mean_steps = load_templates ?domains ~kind programs in
   let cells = resilience_axes ?quanta ~rates ~fault_rates ~policies () in
   Sweep.map ?domains
     ~cost:(resilience_cost ~mean_steps ~jobs)
@@ -242,12 +223,7 @@ let resilience_grid_slots ?domains ?scheduler ?quanta ?(trace_capacity = 4096)
     ~policies ~fault_rates ~rates ~config programs =
   if programs = [] then
     invalid_arg "Experiment.resilience_grid_slots: no programs";
-  let encodeds = load_encodeds ?domains ~kind programs in
-  let mean_steps =
-    List.fold_left (fun acc (_, _, s) -> acc + s) 0 encodeds
-    / List.length encodeds
-  in
-  let templates = List.map (fun (n, e, _) -> (n, e)) encodeds in
+  let templates, mean_steps = load_templates ?domains ~kind programs in
   let cells =
     List.mapi (fun i c -> (i, c))
       (resilience_axes ?quanta ~rates ~fault_rates ~policies ())

@@ -4,7 +4,7 @@
 
 module Machine = Uhm_machine.Machine
 module Dtb = Uhm_core.Dtb
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 module Resilient = Uhm_fault.Resilient
 
 type brownout = {

@@ -16,7 +16,7 @@ module Codec = Uhm_encoding.Codec
 module Layout = Uhm_psder.Layout
 module Scheduler = Uhm_sched.Scheduler
 module Trace = Uhm_sched.Trace
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 module Engine = Uhm_fault.Engine
 module Injector = Uhm_fault.Injector
 module P = Fault_policy
@@ -239,9 +239,6 @@ let run_policy ?timing ?fuel ?(layout = Layout.default) ?backend
   let used = Array.make slots false in
   let next = ref 0 in
   let clock = ref 0 in
-  let switches = ref 0 in
-  let flushes0 = Dtb.flushes dtb in
-  let last_index = ref (-1) in
   let max_depth = ref 0 in
   let evictions = ref 0 in
   let cold_evictions = ref 0 in
@@ -274,7 +271,7 @@ let run_policy ?timing ?fuel ?(layout = Layout.default) ?backend
   in
   let engine =
     Engine.env ?timing ?fuel ~layout ?backend ~on_detect:bo_note ~dtb ~trace
-      ~tagged_keys fc
+      ~slots ~tagged_keys fc
   in
   let solo_cache : (int, P.solo_ref) Hashtbl.t = Hashtbl.create 8 in
   let solo_of tidx =
@@ -664,58 +661,26 @@ let run_policy ?timing ?fuel ?(layout = Layout.default) ?backend
         end
   in
 
-  let pick () =
-    match scheduler with
-    | Scheduler.Round_robin ->
-        let rec scan k =
-          if k = slots then None
-          else
-            let i = (!last_index + 1 + k) mod slots in
-            if Option.is_some active.(i) then Some i else scan (k + 1)
-        in
-        scan 0
-    | Scheduler.Shortest_remaining ->
-        let best = ref None in
-        Array.iteri
-          (fun i t ->
-            match t with
-            | None -> ()
-            | Some t ->
-                let remaining =
-                  max 0
-                    (t.t_total_dir_steps
-                    - (Machine.stats t.t_att.Engine.machine).Machine.interp_count)
-                in
-                (match !best with
-                | Some (_, r) when r <= remaining -> ()
-                | _ -> best := Some (i, remaining)))
-          active;
-        Option.map fst !best
+  let runnable i = Option.is_some active.(i) in
+  let remaining i =
+    let t = Option.get active.(i) in
+    max 0
+      (t.t_total_dir_steps
+      - (Machine.stats t.t_att.Engine.machine).Machine.interp_count)
   in
 
   let slice i =
     let t = Option.get active.(i) in
-    if i <> !last_index then begin
-      let from_asid = if !last_index < 0 then None else Some !last_index in
-      let before = Dtb.flushes dtb in
-      Dtb.switch_to dtb ~asid:i;
-      incr switches;
-      tell !clock (Trace.Switch { from_asid; to_asid = i });
-      if Dtb.flushes dtb > before then tell !clock (Trace.Dtb_flush { asid = i })
-    end;
-    last_index := i;
     (* guards-off (or mid-install) corruption can make the machine
        execute garbage and die with a host exception rather than a guest
        trap; with faults armed that is just another voided attempt, not a
        driver crash.  Without faults the exception propagates — a
        zero-config crash is a real bug. *)
     clock :=
-      !clock + Engine.slice ~contain:verify engine t.t_att ~now:!clock ~quantum;
+      Engine.dispatch ~contain:verify engine t.t_att ~now:!clock ~quantum;
     match t.t_att.Engine.finished with
-    | Some status ->
-        tell !clock (Trace.Completion { asid = i; ok = status = Machine.Halted });
-        retire i t status
-    | None -> tell !clock (Trace.Quantum_expiry { asid = i })
+    | Some status -> retire i t status
+    | None -> ()
   in
 
   let running = ref true in
@@ -724,7 +689,7 @@ let run_policy ?timing ?fuel ?(layout = Layout.default) ?backend
     brownout_tick ();
     admit ();
     evict_cold ();
-    match pick () with
+    match Engine.pick engine scheduler ~runnable ~remaining with
     | Some i -> slice i
     | None -> (
         (* nothing resident: jump the clock to the next event that can
@@ -763,8 +728,8 @@ let run_policy ?timing ?fuel ?(layout = Layout.default) ?backend
       sv_summary =
         summarize ~njobs ~total_cycles:!clock ~max_depth:!max_depth
           ~evictions:!evictions ~cold_evictions:!cold_evictions
-          ~switches:!switches
-          ~flushes:(Dtb.flushes dtb - flushes0)
+          ~switches:(Engine.switches engine)
+          ~flushes:(Engine.flushes engine)
           ~hit_ratio:(Dtb.hit_ratio dtb) job_list;
       sv_trace = trace;
     }

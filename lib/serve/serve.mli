@@ -1,7 +1,7 @@
 (** The open-arrival translation service: streaming admission of guest
     programs onto a bounded pool of ASID slots sharing one DTB.
 
-    Where {!Uhm_sched.Mix} runs a {e closed} set of programs to
+    Where {!Uhm_fault.Mix} runs a {e closed} set of programs to
     completion, this layer serves an {e open} stream: jobs arrive over
     virtual time (see {!Arrival}), wait in a bounded admission queue,
     are bound to an ASID slot when one frees up, run under the PR 3
@@ -22,11 +22,13 @@
     faults, deadlines and brownout.
 
     Everything is deterministic in the seed: the driver is serial, one
-    virtual clock, and in the closed-system limit (all arrivals at cycle
-    0, as many slots as jobs, no economy) it reproduces
-    {!Uhm_sched.Scheduler.run}'s dispatch sequence, cycle counts and
-    trace rollups bit for bit — the regression anchor that pins the open
-    system to the scheduler's goldens.  The frozen goldens in
+    virtual clock.  It picks and dispatches with the same step as the
+    closed drivers ({!Uhm_fault.Engine.pick}, {!Uhm_fault.Engine.dispatch}),
+    and in the closed-system limit (all arrivals at cycle 0, as many slots
+    as jobs, no economy) it reproduces {!Uhm_fault.Mix.run_encoded}'s
+    dispatch sequence, cycle counts and trace rollups bit for bit — the
+    regression anchor that pins the open system to the closed mix's
+    goldens.  The frozen goldens in
     [test/frozen/serve.txt] pin job records, summaries, trace events and
     tallies over a policy x scheduler x quantum x slots grid and three
     directed cases. *)

@@ -4,8 +4,9 @@
    programs for the parse/print round-trip.
 
    [valid_program] generates well-scoped programs that are guaranteed to
-   terminate, never divide by zero, never index out of bounds and never
-   assign their own loop variable — the class over which all execution
+   terminate, never divide by zero, never index out of bounds, never
+   read a local before defining it and never assign their own loop
+   variable — the class over which all execution
    engines must agree exactly.  It is the backbone of the differential
    tests (HLR interpreter vs DIR interpreter vs simulated machine). *)
 
@@ -349,15 +350,40 @@ and valid_block env depth ~allow_procs =
          (valid_proc_body proc_env (depth - 1))
    else return (env1, []))
   >>= fun (env2, proc_decls) ->
+  (* Every local is defined before any read: Algol 60 leaves a block's
+     locals undefined on entry, and the compiled DIR code does not
+     zero-fill them (neither scalars nor arrays), so a block re-entered
+     in a loop sees the previous pass's values where the tree
+     interpreter sees zeros.  Scalars always get an initialiser; arrays
+     are zero-filled by a loop ahead of the block's statements. *)
+  let zero_fills =
+    List.map
+      (fun (a, n) ->
+        let z = fresh_name env "z" in
+        Ast.Block
+          {
+            Ast.decls = [ Ast.Var_decl (z, None) ];
+            stmts =
+              [
+                Ast.For
+                  ( z,
+                    Ast.Num 0,
+                    Ast.Upto,
+                    Ast.Num (n - 1),
+                    Ast.Assign_sub (a, Ast.Var z, Ast.Num 0) );
+              ];
+          })
+      array_decls
+  in
   map2
     (fun inits stmts ->
       let var_decls =
-        List.map2 (fun v init -> Ast.Var_decl (v, init)) scalar_names inits
+        List.map2 (fun v init -> Ast.Var_decl (v, Some init)) scalar_names inits
       in
       let arr_decls = List.map (fun (a, n) -> Ast.Array_decl (a, n)) array_decls in
-      { Ast.decls = var_decls @ arr_decls @ proc_decls; stmts })
+      { Ast.decls = var_decls @ arr_decls @ proc_decls; stmts = zero_fills @ stmts })
     (flatten_l
-       (List.map (fun _ -> opt (map (fun n -> Ast.Num n) (int_range 0 20))) scalar_names))
+       (List.map (fun _ -> map (fun n -> Ast.Num n) (int_range 0 20)) scalar_names))
     (list_size (int_range 1 3) (valid_stmt env2 depth))
 
 and valid_proc_body env depth =

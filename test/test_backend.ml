@@ -15,7 +15,7 @@ module Kind = Uhm_encoding.Kind
 module Codec = Uhm_encoding.Codec
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 module Injector = Uhm_fault.Injector
 module Resilient = Uhm_fault.Resilient
 

@@ -1,6 +1,5 @@
 (* Tests for the resilience subsystem: injector determinism, guard
    checksums, DTB corruption/invalidation hooks, checkpoint rollback, the
-   zero-fault differential against Mix (cycle- and trace-identical), the
    QCheck recovery invariant, directed triggers for each recovery
    mechanism (guard detection, retry backoff, checkpoint rollback,
    watchdog downgrade), the campaign grid, and the runaway-program fuel
@@ -13,7 +12,6 @@ module Kind = Uhm_encoding.Kind
 module Codec = Uhm_encoding.Codec
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
-module Mix = Uhm_sched.Mix
 module Injector = Uhm_fault.Injector
 module Guard = Uhm_fault.Guard
 module Resilient = Uhm_fault.Resilient
@@ -258,49 +256,6 @@ let test_checkpoint_roundtrip () =
   check_string "output truncated to the checkpoint" out0 (Machine.output m);
   ignore (Machine.run m);
   check_string "replay reproduces the final output" final_out (Machine.output m)
-
-(* -- The zero-fault differential: byte-identical to Mix ------------------------ *)
-
-let diff_mix = [ "fact_iter"; "gcd"; "flat_straightline" ]
-
-let test_zero_fault_differential () =
-  let programs = List.map encode diff_mix in
-  List.iter
-    (fun policy ->
-      let mix =
-        Mix.run_encoded ~trace_capacity:65536 ~policy ~quantum:64
-          ~config:Dtb.paper_config programs
-      in
-      let res =
-        Resilient.run_encoded ~trace_capacity:65536 ~policy ~quantum:64
-          ~config:Dtb.paper_config ~fconfig:Resilient.zero programs
-      in
-      let pn = Dtb.policy_name policy in
-      check_int (pn ^ ": total cycles") mix.Mix.mr_total_cycles
-        res.Resilient.rr_total_cycles;
-      check_int (pn ^ ": switches") mix.Mix.mr_switches
-        res.Resilient.rr_switches;
-      check_int (pn ^ ": flushes") mix.Mix.mr_flushes res.Resilient.rr_flushes;
-      List.iter2
-        (fun (a : Mix.program_result) (b : Resilient.program_report) ->
-          check_string (pn ^ ": name") a.Mix.pr_name b.Resilient.pr_name;
-          check_bool (pn ^ ": status") true
-            (a.Mix.pr_status = b.Resilient.pr_status);
-          check_string (pn ^ ": output") a.Mix.pr_output b.Resilient.pr_output;
-          check_int (pn ^ ": cycles") a.Mix.pr_cycles b.Resilient.pr_cycles;
-          check_int (pn ^ ": slices") a.Mix.pr_slices b.Resilient.pr_slices;
-          check_bool (pn ^ ": nothing injected") true
-            (b.Resilient.pr_injected = 0 && b.Resilient.pr_detected = 0
-            && b.Resilient.pr_retries = 0 && b.Resilient.pr_rollbacks = 0
-            && not b.Resilient.pr_downgraded))
-        mix.Mix.mr_programs res.Resilient.rr_programs;
-      (* the event traces are structurally identical, cycle stamps included *)
-      check_bool (pn ^ ": identical event traces") true
-        (Trace.events mix.Mix.mr_trace = Trace.events res.Resilient.rr_trace);
-      check_int (pn ^ ": identical recorded counts")
-        (Trace.recorded mix.Mix.mr_trace)
-        (Trace.recorded res.Resilient.rr_trace))
-    [ Dtb.Flush_on_switch; Dtb.Tagged; Dtb.Partitioned ]
 
 (* -- The recovery invariant --------------------------------------------------- *)
 
@@ -568,8 +523,6 @@ let suite =
         `Quick test_dtb_abort_translation;
       Alcotest.test_case "checkpoint/restore/replay roundtrip" `Quick
         test_checkpoint_roundtrip;
-      Alcotest.test_case "zero faults: cycle- and trace-identical to mix"
-        `Slow test_zero_fault_differential;
       QCheck_alcotest.to_alcotest prop_recovery_invariant;
       Alcotest.test_case "trigger: guard detection and retry" `Slow
         test_trigger_guard_detection;

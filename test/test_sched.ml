@@ -11,7 +11,7 @@ module Kind = Uhm_encoding.Kind
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
 module Scheduler = Uhm_sched.Scheduler
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

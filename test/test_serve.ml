@@ -14,7 +14,7 @@ module Machine = Uhm_machine.Machine
 module Suite = Uhm_workload.Suite
 module Trace = Uhm_sched.Trace
 module Scheduler = Uhm_sched.Scheduler
-module Mix = Uhm_sched.Mix
+module Mix = Uhm_fault.Mix
 module Arrival = Uhm_serve.Arrival
 module Percentile = Uhm_serve.Percentile
 module Serve = Uhm_serve.Serve
