@@ -619,7 +619,8 @@ let mix_cmd =
          & info [ "trace" ] ~docv:"PATH"
              ~doc:"Write a Chrome trace_event JSON file loadable in \
                    about://tracing (with several policies, the policy name \
-                   is inserted before the extension).")
+                   is inserted before the extension).  Each file keeps \
+                   the last 65536 events of its run.")
   in
   let sets_arg =
     Arg.(value & opt int Dtb.paper_config.Dtb.sets
@@ -663,6 +664,11 @@ let mix_cmd =
           (name, load_dir ~file:None ~program:(Some name) ~fortran:false ~fuse))
         programs
     in
+    (* an exported trace keeps the whole run: the grid's small default
+       ring would drop most of a long timeline *)
+    let trace_capacity =
+      Option.map (fun _ -> Trace.default_capacity) trace_path
+    in
     (* one cell per policy: mix_axes with singleton scheduler/quantum/config
        axes keeps the cell order identical to the policy list *)
     let axes =
@@ -680,7 +686,11 @@ let mix_cmd =
         "sets=" ^ string_of_int sets;
         "assoc=" ^ string_of_int assoc;
         "cell_fuel="
-        ^ (match cell_fuel with None -> "none" | Some f -> string_of_int f) ]
+        ^ (match cell_fuel with None -> "none" | Some f -> string_of_int f);
+        "trace_capacity="
+        ^ (match trace_capacity with
+          | None -> "grid"
+          | Some c -> string_of_int c) ]
     in
     let setup =
       prepare_campaign ?journal ?resume ~campaign:"uhmc-mix" ~fingerprint
@@ -688,7 +698,7 @@ let mix_cmd =
     in
     let slots =
       SX.mix_grid_slots ?domains:jobs ~schedulers:[ scheduler ]
-        ~quanta:[ quantum ] ~cached:setup.Campaign.cached
+        ~quanta:[ quantum ] ?trace_capacity ~cached:setup.Campaign.cached
         ?cell_hook:setup.Campaign.cell_hook ?cell_fuel ~poison ~kind
         ~policies ~configs:[ config ] named
     in

@@ -85,7 +85,9 @@ type t = {
 
 let dummy = { at_cycle = -1; kind = Quantum_expiry { asid = -1 } }
 
-let create ?(capacity = 65536) () =
+let default_capacity = 65536
+
+let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
   {
     capacity;

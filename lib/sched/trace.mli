@@ -97,8 +97,11 @@ type counts = {
 
 type t
 
+val default_capacity : int
+(** 65536 events. *)
+
 val create : ?capacity:int -> unit -> t
-(** [capacity] (default 65536) bounds the ring. *)
+(** [capacity] (default {!default_capacity}) bounds the ring. *)
 
 val capacity : t -> int
 
