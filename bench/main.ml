@@ -29,8 +29,10 @@
    at any domain count.
 
    The perf target measures host-side simulator throughput (wall time,
-   simulated cycles per second) and writes BENCH_simulator.json in the
-   current directory.  Environment knobs: UHM_PERF_RUNS (min runs per
+   simulated cycles per second, machine-layer allocation per simulated
+   cycle) and writes BENCH_simulator.json in the current directory; the
+   samples it replaces move to the file's "previous" section, so two
+   runs on one host leave a before/after pair.  Environment knobs: UHM_PERF_RUNS (min runs per
    sample), UHM_PERF_SECONDS (min seconds per sample), UHM_PERF_OUT
    (output path), UHM_PERF_SWEEP (0 skips the parallel-sweep timing),
    UHM_PERF_SWEEP_REPEATS (timings per wall-clock point, default 2).
@@ -42,7 +44,7 @@
    attainment, goodput and p99 degradation vs injected fault rate, a
    schema-v5 "resilience" section of the same file.  perf, load and
    resilience each rewrite only their own section, preserving the
-   others'.  UHM_LOAD_JOBS / UHM_RESILIENCE_JOBS set the arrivals per
+   others' (load and resilience keep "previous" as it is).  UHM_LOAD_JOBS / UHM_RESILIENCE_JOBS set the arrivals per
    cell (defaults 400 / 150); UHM_PERF_OUT names the file for all. *)
 
 module Table = Uhm_report.Table
@@ -1308,11 +1310,15 @@ let perf () =
   let min_seconds = getenv_num "UHM_PERF_SECONDS" float_of_string_opt 0.2 in
   let path = bench_json_path () in
   (* re-measuring throughput must not clobber the recorded saturation or
-     resilience studies; carry their sections over verbatim *)
-  let load, resilience =
+     resilience studies; carry their sections over verbatim.  The samples
+     being replaced become the [previous] run, so two runs on one host
+     leave a before/after pair in the file. *)
+  let load, resilience, previous =
     if Sys.file_exists path then
-      (Uhm_core.Perf.read_load ~path, Uhm_core.Perf.read_resilience ~path)
-    else (None, None)
+      ( Uhm_core.Perf.read_load ~path,
+        Uhm_core.Perf.read_resilience ~path,
+        Uhm_core.Perf.read_run ~path )
+    else (None, None, None)
   in
   let samples =
     Uhm_core.Perf.run_suite ~min_runs ~min_seconds
@@ -1323,7 +1329,8 @@ let perf () =
       ~columns:
         [ ("workload/strategy", Table.Left); ("backend", Table.Left);
           ("runs", Table.Right); ("us/run", Table.Right);
-          ("sim cycles/s", Table.Right); ("host instrs/s", Table.Right) ]
+          ("sim cycles/s", Table.Right); ("host instrs/s", Table.Right);
+          ("minor w/cycle", Table.Right) ]
       ()
   in
   List.iter
@@ -1335,7 +1342,8 @@ let perf () =
           Table.cell_int s.Uhm_core.Perf.runs;
           Table.cell_float s.Uhm_core.Perf.wall_us_per_run;
           Printf.sprintf "%.2fM" (s.Uhm_core.Perf.sim_cycles_per_sec /. 1e6);
-          Printf.sprintf "%.2fM" (s.Uhm_core.Perf.host_instrs_per_sec /. 1e6) ])
+          Printf.sprintf "%.2fM" (s.Uhm_core.Perf.host_instrs_per_sec /. 1e6);
+          Printf.sprintf "%.4f" s.Uhm_core.Perf.minor_words_per_cycle ])
     samples;
   Table.print t;
   (* Host wall-clock only: the simulated cycle counts, traces and final
@@ -1377,7 +1385,7 @@ let perf () =
       Some sw
     end
   in
-  Uhm_core.Perf.write_json ?sweep ?load ?resilience ~path samples;
+  Uhm_core.Perf.write_json ?sweep ?load ?resilience ?previous ~path samples;
   Printf.printf "\nwrote %s (%d samples)\n" path (List.length samples)
 
 (* ------------------------------------------------------------------ *)
@@ -1509,18 +1517,20 @@ let load () =
     incr quarantined_cells (* fail the run: the recorded curve is bad *)
   end;
   let path = bench_json_path () in
-  let samples, sweep, resilience =
+  let samples, sweep, resilience, previous =
     if Sys.file_exists path then
       ( Uhm_core.Perf.read_samples ~path,
         Uhm_core.Perf.read_sweep ~path,
-        Uhm_core.Perf.read_resilience ~path )
-    else ([], None, None)
+        Uhm_core.Perf.read_resilience ~path,
+        Uhm_core.Perf.read_previous ~path )
+    else ([], None, None, None)
   in
   let load_bench =
     { Uhm_core.Perf.load_seed = seed; load_slots = asid_slots;
       load_points = points }
   in
-  Uhm_core.Perf.write_json ?sweep ~load:load_bench ?resilience ~path samples;
+  Uhm_core.Perf.write_json ?sweep ~load:load_bench ?resilience ?previous ~path
+    samples;
   Printf.printf "\nwrote %s (load section: %d points, %d preserved samples)\n"
     path (List.length points) (List.length samples)
 
@@ -1704,18 +1714,20 @@ let resilience () =
     incr quarantined_cells
   end;
   let path = bench_json_path () in
-  let samples, sweep, load =
+  let samples, sweep, load, previous =
     if Sys.file_exists path then
       ( Uhm_core.Perf.read_samples ~path,
         Uhm_core.Perf.read_sweep ~path,
-        Uhm_core.Perf.read_load ~path )
-    else ([], None, None)
+        Uhm_core.Perf.read_load ~path,
+        Uhm_core.Perf.read_previous ~path )
+    else ([], None, None, None)
   in
   let res_bench =
     { Uhm_core.Perf.res_seed = seed; res_slots = asid_slots; res_slo = slo;
       res_points = points }
   in
-  Uhm_core.Perf.write_json ?sweep ?load ~resilience:res_bench ~path samples;
+  Uhm_core.Perf.write_json ?sweep ?load ~resilience:res_bench ?previous ~path
+    samples;
   Printf.printf
     "\nwrote %s (resilience section: %d points, %d preserved samples)\n"
     path (List.length points) (List.length samples)

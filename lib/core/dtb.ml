@@ -28,18 +28,23 @@ let policy_name = function
   | Tagged -> "tagged"
   | Partitioned -> "partitioned"
 
-type entry = {
-  mutable tag : int;          (* lookup key; -1 invalid *)
-  mutable stamp : int;        (* recency timestamp; larger = more recent *)
-  mutable chain : int list;   (* overflow block addresses owned *)
-  unit_addr : int;            (* primary unit address *)
-}
-
+(* The directory is flat: entry [i] is way [i mod assoc] of set
+   [i / assoc], and owns the primary unit at [buffer_base + i * unit_words].
+   Overflow blocks are numbered from 0; block [b] sits at
+   [overflow_base + b * unit_words].  A block is always on exactly one
+   list — the free list or one entry's chain — so a single [next_block]
+   array links both, and no hit, miss, install or eviction allocates. *)
 type t = {
   cfg : config;
-  entries : entry array array; (* sets x ways *)
+  buffer_base : int;           (* first primary unit address *)
+  tags : int array;            (* lookup key per entry; -1 invalid *)
+  stamps : int array;          (* recency timestamp; larger = more recent *)
+  chains : int array;          (* the entry's most recently linked overflow
+                                  block; -1 = no chain *)
+  next_block : int array;      (* per overflow block: the next block of its
+                                  chain or of the free list; -1 ends it *)
+  mutable free_head : int;     (* first free overflow block; -1 = none *)
   mutable clock : int;         (* recency clock for the replacement array *)
-  mutable free_blocks : int list;
   overflow_base : int;         (* first overflow block address *)
   (* single-entry "last translation" cache in front of the tag array: the
      common hit-again-immediately case (a tight DIR loop re-entering the
@@ -51,8 +56,7 @@ type t = {
   use_last_cache : bool;
   mutable last_tag : int;      (* -1 = empty; a *key*, i.e. ASID-qualified
                                   under Tagged/Partitioned sharing *)
-  mutable last_set : int;
-  mutable last_way : int;
+  mutable last_entry : int;
   (* sharing state; a private DTB is the degenerate single-program case *)
   sharing : policy option;
   programs : int;
@@ -67,23 +71,30 @@ type t = {
   last_use : int array;
   mutable flushes : int;
   (* open translation state *)
-  mutable open_entry : entry option;
-  mutable cursor : int;       (* next write address *)
-  mutable block_end : int;    (* first address past the current block's
-                                 payload (the reserved chain slot) *)
+  mutable open_entry : int;    (* -1 = no translation open *)
+  mutable cursor : int;        (* next write address *)
+  mutable block_end : int;     (* first address past the current block's
+                                  payload (the reserved chain slot) *)
   mutable start_addr : int;
+  mutable chain_addr : int;    (* the GOTO the last [emit_addr] wrote to
+                                  link a block; -1 = none *)
+  mutable chain_word : int;
   (* statistics *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable overflow_allocs : int;
-  (* observers of entry death, one call per buffer block released: the
-     threaded backend drops its compiled closures for exactly the words
-     whose directory entry dies (eviction, abort, invalidate, flush) *)
-  mutable on_drop : (addr:int -> words:int -> unit) list;
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
+
+(* The canonical free list: every overflow block, in address order. *)
+let reset_free_list t =
+  let n = Array.length t.next_block in
+  for b = 0 to n - 1 do
+    t.next_block.(b) <- (if b + 1 < n then b + 1 else -1)
+  done;
+  t.free_head <- (if n > 0 then 0 else -1)
 
 let create ?(last_cache = true) cfg ~buffer_base =
   if not (is_power_of_two cfg.sets) then
@@ -91,65 +102,64 @@ let create ?(last_cache = true) cfg ~buffer_base =
   if cfg.unit_words < 2 then invalid_arg "Dtb.create: unit too small";
   let assoc = if cfg.assoc = 0 then cfg.sets else cfg.assoc in
   let cfg = { cfg with assoc } in
-  let entries =
-    Array.init cfg.sets (fun s ->
-        Array.init cfg.assoc (fun w ->
-            {
-              tag = -1;
-              (* way 0 most recent, way [assoc-1] first victim *)
-              stamp = -w;
-              chain = [];
-              unit_addr =
-                buffer_base + (((s * cfg.assoc) + w) * cfg.unit_words);
-            }))
+  let entries = cfg.sets * assoc in
+  let t =
+    {
+      cfg;
+      buffer_base;
+      tags = Array.make entries (-1);
+      (* way 0 most recent, way [assoc-1] first victim *)
+      stamps = Array.init entries (fun i -> -(i mod assoc));
+      chains = Array.make entries (-1);
+      next_block = Array.make cfg.overflow_blocks (-1);
+      free_head = -1;
+      clock = 0;
+      overflow_base = buffer_base + (entries * cfg.unit_words);
+      use_last_cache = last_cache;
+      last_tag = -1;
+      last_entry = 0;
+      sharing = None;
+      programs = 1;
+      asid_bits = 0;
+      partitions = [||];
+      current = 0;
+      last_use = Array.make 1 0;
+      flushes = 0;
+      open_entry = -1;
+      cursor = 0;
+      block_end = 0;
+      start_addr = 0;
+      chain_addr = -1;
+      chain_word = 0;
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      overflow_allocs = 0;
+    }
   in
-  let overflow_base = buffer_base + (cfg.sets * cfg.assoc * cfg.unit_words) in
-  let free_blocks =
-    List.init cfg.overflow_blocks (fun i ->
-        overflow_base + (i * cfg.unit_words))
-  in
-  {
-    cfg;
-    entries;
-    clock = 0;
-    free_blocks;
-    overflow_base;
-    use_last_cache = last_cache;
-    last_tag = -1;
-    last_set = 0;
-    last_way = 0;
-    sharing = None;
-    programs = 1;
-    asid_bits = 0;
-    partitions = [||];
-    current = 0;
-    last_use = Array.make 1 0;
-    flushes = 0;
-    open_entry = None;
-    cursor = 0;
-    block_end = 0;
-    start_addr = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    overflow_allocs = 0;
-    on_drop = [];
-  }
+  reset_free_list t;
+  t
 
-let add_drop_hook t f = t.on_drop <- f :: t.on_drop
+let unit_addr t i = t.buffer_base + (i * t.cfg.unit_words)
 
-let fire_drop t ~addr ~words =
-  List.iter (fun f -> f ~addr ~words) t.on_drop
+(* An entry dies (eviction, abort, invalidation): the replacement logic
+   returns its overflow chain, most recently linked block first, to the
+   front of the free list. *)
+let release_chain t i =
+  let head = t.chains.(i) in
+  if head >= 0 then begin
+    let last = ref head in
+    while t.next_block.(!last) >= 0 do
+      last := t.next_block.(!last)
+    done;
+    t.next_block.(!last) <- t.free_head;
+    t.free_head <- head;
+    t.chains.(i) <- -1
+  end
 
-(* An entry is dying: report its primary unit and every overflow block it
-   chained. *)
-let drop_entry t e =
-  match t.on_drop with
-  | [] -> ()
-  | _ ->
-      fire_drop t ~addr:e.unit_addr ~words:t.cfg.unit_words;
-      List.iter (fun block -> fire_drop t ~addr:block ~words:t.cfg.unit_words)
-        e.chain
+let free_entry t i =
+  t.tags.(i) <- -1;
+  release_chain t i
 
 let rec ceil_log2 n = if n <= 1 then 0 else 1 + ceil_log2 ((n + 1) / 2)
 
@@ -208,102 +218,106 @@ let key_of t tag =
 (* O(1) timestamp recency in place of the O(assoc) counter shuffle; the
    victim scan in [begin_translation] picks the minimum stamp, which is the
    same entry counter LRU would evict. *)
-let touch t set way =
+let touch t i =
   t.clock <- t.clock + 1;
-  t.entries.(set).(way).stamp <- t.clock;
+  t.stamps.(i) <- t.clock;
   (* the toucher is always the current ASID: lookup hits and
      installations are the only callers *)
   t.last_use.(t.current) <- t.clock
 
-let lookup t ~tag =
+let probe t ~tag =
   let key = key_of t tag in
   if t.use_last_cache && key = t.last_tag then begin
     (* shortcut hit: identical statistics and recency update to the full
        probe below, so hit/miss/eviction counts cannot drift *)
     t.hits <- t.hits + 1;
-    touch t t.last_set t.last_way;
-    `Hit t.entries.(t.last_set).(t.last_way).unit_addr
+    touch t t.last_entry;
+    unit_addr t t.last_entry
   end
-  else
-    let set = set_of t tag in
-    let ways = t.entries.(set) in
-    let rec find w =
-      if w >= Array.length ways then None
-      else if ways.(w).tag = key then Some w
-      else find (w + 1)
-    in
-    match find 0 with
-    | Some w ->
-        t.hits <- t.hits + 1;
-        touch t set w;
-        t.last_tag <- key;
-        t.last_set <- set;
-        t.last_way <- w;
-        `Hit ways.(w).unit_addr
-    | None ->
-        t.misses <- t.misses + 1;
-        `Miss
+  else begin
+    let first = set_of t tag * t.cfg.assoc in
+    let stop = first + t.cfg.assoc in
+    let i = ref first in
+    while !i < stop && t.tags.(!i) <> key do
+      incr i
+    done;
+    if !i < stop then begin
+      t.hits <- t.hits + 1;
+      touch t !i;
+      t.last_tag <- key;
+      t.last_entry <- !i;
+      unit_addr t !i
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      -1
+    end
+  end
+
+let lookup t ~tag = match probe t ~tag with -1 -> `Miss | a -> `Hit a
 
 let begin_translation t ~tag =
-  if t.open_entry <> None then failwith "Dtb: translation already open";
+  if t.open_entry >= 0 then failwith "Dtb: translation already open";
   let key = key_of t tag in
-  let set = set_of t tag in
-  let ways = t.entries.(set) in
-  let victim = ref 0 in
-  Array.iteri (fun w e -> if e.stamp < ways.(!victim).stamp then victim := w) ways;
-  let e = ways.(!victim) in
-  if e.tag >= 0 then begin
+  let first = set_of t tag * t.cfg.assoc in
+  let victim = ref first in
+  for i = first + 1 to first + t.cfg.assoc - 1 do
+    if t.stamps.(i) < t.stamps.(!victim) then victim := i
+  done;
+  let i = !victim in
+  if t.tags.(i) >= 0 then begin
     t.evictions <- t.evictions + 1;
-    drop_entry t e;
-    (* the replacement logic releases the victim's overflow chain *)
-    t.free_blocks <- e.chain @ t.free_blocks;
-    e.chain <- []
+    release_chain t i
   end;
-  e.tag <- key;
-  touch t set !victim;
+  t.tags.(i) <- key;
+  touch t i;
   (* a place a tag changes: point the last-translation cache at the
      entry being (re)installed so it can never go stale *)
   t.last_tag <- key;
-  t.last_set <- set;
-  t.last_way <- !victim;
-  t.open_entry <- Some e;
-  t.cursor <- e.unit_addr;
-  t.block_end <- e.unit_addr + t.cfg.unit_words - 1;
-  t.start_addr <- e.unit_addr
+  t.last_entry <- i;
+  t.open_entry <- i;
+  let u = unit_addr t i in
+  t.cursor <- u;
+  t.block_end <- u + t.cfg.unit_words - 1;
+  t.start_addr <- u
 
-let emit t _word =
-  let e =
-    match t.open_entry with
-    | Some e -> e
-    | None -> failwith "Dtb.emit: no open translation"
-  in
+let emit_addr t _word =
+  if t.open_entry < 0 then failwith "Dtb.emit: no open translation";
   if t.cursor < t.block_end then begin
     let addr = t.cursor in
     t.cursor <- addr + 1;
-    (addr, [])
+    t.chain_addr <- -1;
+    addr
   end
   else begin
     (* current block full: chain a fresh overflow block through the
        reserved slot *)
-    match t.free_blocks with
-    | [] -> failwith "Dtb.emit: overflow area exhausted"
-    | block :: rest ->
-        t.free_blocks <- rest;
-        t.overflow_allocs <- t.overflow_allocs + 1;
-        e.chain <- block :: e.chain;
-        let goto_addr = t.block_end in
-        let goto_word = SF.pack SF.Goto block in
-        t.cursor <- block + 1;
-        t.block_end <- block + t.cfg.unit_words - 1;
-        (block, [ (goto_addr, goto_word) ])
+    let b = t.free_head in
+    if b < 0 then failwith "Dtb.emit: overflow area exhausted";
+    let i = t.open_entry in
+    t.free_head <- t.next_block.(b);
+    t.next_block.(b) <- t.chains.(i);
+    t.chains.(i) <- b;
+    t.overflow_allocs <- t.overflow_allocs + 1;
+    let block = t.overflow_base + (b * t.cfg.unit_words) in
+    t.chain_addr <- t.block_end;
+    t.chain_word <- SF.pack SF.Goto block;
+    t.cursor <- block + 1;
+    t.block_end <- block + t.cfg.unit_words - 1;
+    block
   end
 
+let chain_addr t = t.chain_addr
+let chain_word t = t.chain_word
+
+let emit t word =
+  let addr = emit_addr t word in
+  (addr, if t.chain_addr < 0 then [] else [ (t.chain_addr, t.chain_word) ])
+
 let end_translation t =
-  match t.open_entry with
-  | None -> failwith "Dtb.end_translation: no open translation"
-  | Some _ ->
-      t.open_entry <- None;
-      t.start_addr
+  if t.open_entry < 0 then failwith "Dtb.end_translation: no open translation";
+  t.open_entry <- -1;
+  t.start_addr
 
 (* A translation that will never complete — the translating machine
    stopped on a fault mid-install — must not leave the directory open:
@@ -312,15 +326,11 @@ let end_translation t =
    at [begin_translation]) and returns its overflow chain, leaving the
    directory exactly as if the miss had never been serviced. *)
 let abort_translation t =
-  match t.open_entry with
-  | None -> failwith "Dtb.abort_translation: no open translation"
-  | Some e ->
-      if t.last_tag = e.tag then t.last_tag <- -1;
-      e.tag <- -1;
-      drop_entry t e;
-      t.free_blocks <- e.chain @ t.free_blocks;
-      e.chain <- [];
-      t.open_entry <- None
+  let i = t.open_entry in
+  if i < 0 then failwith "Dtb.abort_translation: no open translation";
+  if t.last_tag = t.tags.(i) then t.last_tag <- -1;
+  free_entry t i;
+  t.open_entry <- -1
 
 (* -- Multiprogramming --------------------------------------------------------
 
@@ -331,29 +341,16 @@ let abort_translation t =
    bit for bit.  Cumulative statistics and the recency clock survive. *)
 
 let flush t =
-  if t.open_entry <> None then failwith "Dtb.flush: translation open";
-  Array.iter
-    (fun ways ->
-      Array.iteri
-        (fun w e ->
-          e.tag <- -1;
-          e.stamp <- -w;
-          e.chain <- [])
-        ways)
-    t.entries;
-  t.free_blocks <-
-    List.init t.cfg.overflow_blocks (fun i ->
-        t.overflow_base + (i * t.cfg.unit_words));
-  (* PR 2's single-entry shortcut caches a (key, set, way) triple outside
-     the tag array; clearing the array without clearing the shortcut would
-     let a stale hit survive the flush *)
+  if t.open_entry >= 0 then failwith "Dtb.flush: translation open";
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.iteri (fun i _ -> t.stamps.(i) <- -(i mod t.cfg.assoc)) t.stamps;
+  Array.fill t.chains 0 (Array.length t.chains) (-1);
+  reset_free_list t;
+  (* the single-entry shortcut caches an entry index outside the tag
+     array; clearing the array without clearing the shortcut would let a
+     stale hit survive the flush *)
   t.last_tag <- -1;
-  t.flushes <- t.flushes + 1;
-  (* one range drop covering the whole buffer (primaries + overflow) *)
-  (match t.on_drop with
-  | [] -> ()
-  | _ ->
-      fire_drop t ~addr:t.entries.(0).(0).unit_addr ~words:(buffer_words t))
+  t.flushes <- t.flushes + 1
 
 let invalidate_asid t ~asid =
   if t.asid_bits = 0 && t.sharing <> None then
@@ -361,22 +358,16 @@ let invalidate_asid t ~asid =
   if t.sharing = None then invalid_arg "Dtb.invalidate_asid: private DTB";
   if asid < 0 || asid >= t.programs then
     invalid_arg "Dtb.invalidate_asid: ASID out of range";
-  if t.open_entry <> None then failwith "Dtb.invalidate_asid: translation open";
+  if t.open_entry >= 0 then failwith "Dtb.invalidate_asid: translation open";
   let mask = (1 lsl t.asid_bits) - 1 in
   let dropped = ref 0 in
-  Array.iter
-    (fun ways ->
-      Array.iter
-        (fun e ->
-          if e.tag >= 0 && e.tag land mask = asid then begin
-            incr dropped;
-            e.tag <- -1;
-            drop_entry t e;
-            t.free_blocks <- e.chain @ t.free_blocks;
-            e.chain <- []
-          end)
-        ways)
-    t.entries;
+  Array.iteri
+    (fun i key ->
+      if key >= 0 && key land mask = asid then begin
+        incr dropped;
+        free_entry t i
+      end)
+    t.tags;
   (* same coherence rule as [flush]: the shortcut must not outlive the
      entries it points at *)
   if t.last_tag >= 0 && t.last_tag land mask = asid then t.last_tag <- -1;
@@ -410,10 +401,7 @@ let overflow_allocations t = t.overflow_allocs
 let flushes t = t.flushes
 
 let resident_entries t =
-  Array.fold_left
-    (fun acc ways ->
-      acc + Array.fold_left (fun a e -> if e.tag >= 0 then a + 1 else a) 0 ways)
-    0 t.entries
+  Array.fold_left (fun n key -> if key >= 0 then n + 1 else n) 0 t.tags
 
 (* -- Per-ASID idle/footprint accounting --------------------------------------
 
@@ -440,12 +428,8 @@ let asid_footprint t ~asid =
   else
     let mask = (1 lsl t.asid_bits) - 1 in
     Array.fold_left
-      (fun acc ways ->
-        acc
-        + Array.fold_left
-            (fun a e -> if e.tag >= 0 && e.tag land mask = asid then a + 1 else a)
-            0 ways)
-      0 t.entries
+      (fun n key -> if key >= 0 && key land mask = asid then n + 1 else n)
+      0 t.tags
 
 let reset_stats t =
   t.hits <- 0;
@@ -466,20 +450,16 @@ let reset_stats t =
    caches. *)
 
 let invalidate t ~tag =
-  if t.open_entry <> None then failwith "Dtb.invalidate: translation open";
+  if t.open_entry >= 0 then failwith "Dtb.invalidate: translation open";
   let key = key_of t tag in
-  let set = set_of t tag in
+  let first = set_of t tag * t.cfg.assoc in
   let dropped = ref false in
-  Array.iter
-    (fun e ->
-      if e.tag = key then begin
-        dropped := true;
-        e.tag <- -1;
-        drop_entry t e;
-        t.free_blocks <- e.chain @ t.free_blocks;
-        e.chain <- []
-      end)
-    t.entries.(set);
+  for i = first to first + t.cfg.assoc - 1 do
+    if t.tags.(i) = key then begin
+      dropped := true;
+      free_entry t i
+    end
+  done;
   if t.last_tag = key then t.last_tag <- -1;
   !dropped
 
@@ -488,39 +468,25 @@ let invalidate t ~tag =
 let key_flip_bits = 20
 
 let corrupt_resident_tag t ~pick ~flip =
-  if t.open_entry <> None then
+  if t.open_entry >= 0 then
     failwith "Dtb.corrupt_resident_tag: translation open";
   let resident = resident_entries t in
   if resident = 0 then None
   else begin
+    (* the [target]-th resident entry in set-major, way-minor order *)
     let target = ((pick mod resident) + resident) mod resident in
-    let found = ref None in
-    let seen = ref 0 in
-    (try
-       Array.iteri
-         (fun s ways ->
-           Array.iteri
-             (fun w e ->
-               if e.tag >= 0 then begin
-                 if !seen = target then begin
-                   found := Some (s, w, e);
-                   raise Exit
-                 end;
-                 incr seen
-               end)
-             ways)
-         t.entries
-     with Exit -> ());
-    match !found with
-    | None -> None
-    | Some (s, w, e) ->
-        let bits = key_flip_bits + t.asid_bits in
-        let old_key = e.tag in
-        let bit = ((flip mod bits) + bits) mod bits in
-        let new_key = old_key lxor (1 lsl bit) in
-        e.tag <- new_key;
-        if t.use_last_cache && t.last_set = s && t.last_way = w
-           && t.last_tag = old_key
-        then t.last_tag <- new_key;
-        Some (old_key, new_key)
+    let i = ref (-1) and seen = ref (-1) in
+    while !seen < target do
+      incr i;
+      if t.tags.(!i) >= 0 then incr seen
+    done;
+    let i = !i in
+    let bits = key_flip_bits + t.asid_bits in
+    let old_key = t.tags.(i) in
+    let bit = ((flip mod bits) + bits) mod bits in
+    let new_key = old_key lxor (1 lsl bit) in
+    t.tags.(i) <- new_key;
+    if t.use_last_cache && t.last_entry = i && t.last_tag = old_key then
+      t.last_tag <- new_key;
+    Some (old_key, new_key)
   end

@@ -14,7 +14,9 @@
     [unit_words] words; a translation that outgrows it is chained through
     GOTO words into blocks taken from an overflow area.  With
     [unit_words - 1] no smaller than the longest translation the scheme
-    degenerates to the paper's simple fixed allocation. *)
+    degenerates to the paper's simple fixed allocation.  Overflow chains
+    and the free list are intrusive links in preallocated arrays, so no
+    hit, miss, install or eviction allocates. *)
 
 type t
 
@@ -78,24 +80,41 @@ val create_shared :
 
 val buffer_words : t -> int
 
+val probe : t -> tag:int -> int
+(** [probe t ~tag] searches the set selected by hashing [tag].  On a hit,
+    returns the buffer address of the translation (never negative) and
+    promotes the entry to most-recently-used; on a miss returns [-1] and
+    installs nothing — call {!begin_translation}.  Allocates nothing. *)
+
 val lookup : t -> tag:int -> [ `Hit of int | `Miss ]
-(** [lookup t ~tag] searches the set selected by hashing [tag].  On a hit,
-    returns the buffer address of the translation and promotes the entry to
-    most-recently-used.  On a miss, nothing is installed —
-    call {!begin_translation}. *)
+(** {!probe} as a variant. *)
 
 val begin_translation : t -> tag:int -> unit
 (** Choose the LRU victim of [tag]'s set, release its overflow chain, store
     the new tag, and reset the emission cursor to the entry's primary
-    unit. *)
+    unit.  Call it only after [tag] missed: installing a key that is
+    already resident leaves two entries holding it. *)
+
+val emit_addr : t -> int -> int
+(** [emit_addr t word] appends [word] to the open translation and returns
+    its buffer address.  If the current block was full, the hardware
+    linked an overflow block by a GOTO in the full block's reserved last
+    slot, which {!chain_addr} and {!chain_word} then name.  The caller
+    pokes the word (and the GOTO) into the buffer region and charges
+    their write time.  Raises [Failure], changing nothing, if the
+    overflow area is exhausted or no translation is open. *)
+
+val chain_addr : t -> int
+(** Address of the GOTO the last {!emit_addr} wrote; [-1] if none. *)
+
+val chain_word : t -> int
+(** The GOTO word itself; meaningful only when {!chain_addr} is not
+    negative. *)
 
 val emit : t -> int -> int * (int * int) list
-(** [emit t word] appends [word] to the open translation and returns
-    [(address_written, chain_writes)] where [chain_writes] are
-    [(address, goto_word)] pairs the hardware wrote to link an overflow
-    block.  The caller pokes all the words into the buffer region and
-    charges their write time.  Raises [Failure] if the overflow area is
-    exhausted or no translation is open. *)
+(** {!emit_addr} with the chain write as a list: [(address_written,
+    chain_writes)], [chain_writes] empty or one [(address, goto_word)]
+    pair. *)
 
 val end_translation : t -> int
 (** Close the open translation and return its start address. *)
@@ -158,18 +177,6 @@ val corrupt_resident_tag : t -> pick:int -> flip:int -> (int * int) option
     catch.  Raises [Failure] if a translation is open. *)
 
 val current_asid : t -> int
-
-val add_drop_hook : t -> (addr:int -> words:int -> unit) -> unit
-(** Register an observer of entry death.  Whenever a directory entry is
-    dropped — LRU eviction in {!begin_translation}, {!abort_translation},
-    {!invalidate}, {!invalidate_asid} — the hook fires once per buffer
-    block the entry owned ([addr] = block base, [words] = the unit size);
-    a {!flush} (explicit or by [Flush_on_switch]) fires it once for the
-    whole buffer range.  {!corrupt_resident_tag} does {e not} fire: the
-    buffer words themselves are untouched by a tag upset, and the
-    subsequent guard-detected {!invalidate} reports the drop.  The
-    threaded execution backend uses this to retire compiled closures
-    exactly when the translation they belong to dies. *)
 
 (** {2 Statistics} *)
 

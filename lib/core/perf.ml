@@ -25,6 +25,8 @@ type sample = {
   sim_cycles_per_sec : float;
   host_instrs_per_sec : float;
   wall_us_per_run : float;
+  minor_words_per_cycle : float;    (* nan when not recorded *)
+  promoted_words_per_cycle : float;
 }
 
 let backend_name = function `Decode -> "decode" | `Threaded -> "threaded"
@@ -50,10 +52,20 @@ let measure ?(min_runs = 5) ?(min_seconds = 0.2) ?(backend = `Decode)
   let min_runs = max 1 min_runs in
   let p = Suite.compile (Suite.find workload) in
   let encoded = Codec.encode kind p in
-  let run () =
+  let run ?runner () =
     match strategy with
-    | Uhm.Psder_static | Uhm.Der _ -> Uhm.run ~backend ~strategy ~kind p
-    | _ -> Uhm.run_encoded ~backend ~strategy encoded
+    | Uhm.Psder_static | Uhm.Der _ -> Uhm.run ?runner ~backend ~strategy ~kind p
+    | _ -> Uhm.run_encoded ?runner ~backend ~strategy encoded
+  in
+  (* the machine layer's allocation, summed over the timed runs *)
+  let minor = ref 0. and promoted = ref 0. in
+  let runner m =
+    let minor0, promoted0, _ = Gc.counters () in
+    let status = Uhm_machine.Machine.run m in
+    let minor1, promoted1, _ = Gc.counters () in
+    minor := !minor +. (minor1 -. minor0);
+    promoted := !promoted +. (promoted1 -. promoted0);
+    status
   in
   (* one warm-up run, also the source of the per-run counters *)
   let r = run () in
@@ -62,13 +74,14 @@ let measure ?(min_runs = 5) ?(min_seconds = 0.2) ?(backend = `Decode)
   let t0 = Unix.gettimeofday () in
   let elapsed () = Unix.gettimeofday () -. t0 in
   while !runs < min_runs || elapsed () < min_seconds do
-    ignore (Sys.opaque_identity (run ()));
+    ignore (Sys.opaque_identity (run ~runner ()));
     incr runs
   done;
   let wall = elapsed () in
   let per_sec count =
     float_of_int (count * !runs) /. (if wall > 0. then wall else epsilon_float)
   in
+  let per_cycle words = words /. float_of_int (max 1 (r.Uhm.cycles * !runs)) in
   {
     workload;
     strategy = strategy_name;
@@ -83,6 +96,8 @@ let measure ?(min_runs = 5) ?(min_seconds = 0.2) ?(backend = `Decode)
     sim_cycles_per_sec = per_sec r.Uhm.cycles;
     host_instrs_per_sec = per_sec stats.Uhm_machine.Machine.host_instrs;
     wall_us_per_run = 1e6 *. wall /. float_of_int !runs;
+    minor_words_per_cycle = per_cycle !minor;
+    promoted_words_per_cycle = per_cycle !promoted;
   }
 
 let run_suite ?(workloads = default_workloads) ?min_runs ?min_seconds
@@ -202,6 +217,9 @@ let json_escape s =
     s;
   Buffer.contents b
 
+(* A float that may be absent: older documents did not record it. *)
+let json_float_opt x = if Float.is_nan x then "null" else Printf.sprintf "%.6g" x
+
 let sample_to_json s =
   Printf.sprintf
     "    {\n\
@@ -217,12 +235,16 @@ let sample_to_json s =
     \      \"short_instrs\": %d,\n\
     \      \"dir_steps\": %d,\n\
     \      \"sim_cycles_per_sec\": %.1f,\n\
-    \      \"host_instrs_per_sec\": %.1f\n\
+    \      \"host_instrs_per_sec\": %.1f,\n\
+    \      \"minor_words_per_cycle\": %s,\n\
+    \      \"promoted_words_per_cycle\": %s\n\
     \    }"
     (json_escape s.workload) (json_escape s.strategy) (json_escape s.backend)
     (json_escape s.encoding) s.runs s.wall_seconds s.wall_us_per_run
     s.sim_cycles s.host_instrs s.short_instrs s.dir_steps s.sim_cycles_per_sec
     s.host_instrs_per_sec
+    (json_float_opt s.minor_words_per_cycle)
+    (json_float_opt s.promoted_words_per_cycle)
 
 let sweep_to_json (s : sweep_bench) =
   Printf.sprintf
@@ -386,24 +408,53 @@ let resilience_to_json (r : resilience_bench) =
     r.res_seed r.res_slots r.res_slo
     (String.concat ",\n" (List.map resilience_point_to_json r.res_points))
 
-let to_json ?sweep ?load ?resilience samples =
+(* -- The previous run (a before/after pair from one host) -------------------- *)
+
+type run = {
+  run_unix_time : float;
+  run_host_cores : int option;
+  run_samples : sample list;
+}
+
+let indent s =
+  String.concat "\n"
+    (List.map
+       (fun l -> if l = "" then l else "  " ^ l)
+       (String.split_on_char '\n' s))
+
+let previous_to_json r =
+  Printf.sprintf
+    "  \"previous\": {\n\
+    \    \"unix_time\": %.0f,\n\
+    \    \"host_cores\": %s,\n\
+     %s\
+    \    \"samples\": [\n%s\n    ]\n\
+    \  },\n"
+    r.run_unix_time
+    (match r.run_host_cores with Some n -> string_of_int n | None -> "null")
+    (indent (backend_to_json r.run_samples))
+    (indent (String.concat ",\n" (List.map sample_to_json r.run_samples)))
+
+let to_json ?sweep ?load ?resilience ?previous samples =
   Printf.sprintf
     "{\n\
     \  \"schema\": \"uhm-bench-simulator/5\",\n\
     \  \"generated_by\": \"bench/main.exe perf\",\n\
     \  \"unix_time\": %.0f,\n\
-     %s%s%s%s\
+    \  \"host_cores\": %d,\n\
+     %s%s%s%s%s\
     \  \"samples\": [\n%s\n  ]\n}\n"
-    (Unix.time ())
+    (Unix.time ()) (Domain.recommended_domain_count ())
     (match sweep with None -> "" | Some s -> sweep_to_json s)
     (match load with None -> "" | Some l -> load_to_json l)
     (match resilience with None -> "" | Some r -> resilience_to_json r)
+    (match previous with None -> "" | Some r -> previous_to_json r)
     (backend_to_json samples)
     (String.concat ",\n" (List.map sample_to_json samples))
 
-let write_json ?sweep ?load ?resilience ~path samples =
+let write_json ?sweep ?load ?resilience ?previous ~path samples =
   let oc = open_out path in
-  output_string oc (to_json ?sweep ?load ?resilience samples);
+  output_string oc (to_json ?sweep ?load ?resilience ?previous samples);
   close_out oc
 
 (* -- Baseline comparison (the CI perf gate) --------------------------------- *)
@@ -541,37 +592,12 @@ let member key = function
   | J_obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let baseline_rates_of_json doc =
-  match member "samples" doc with
-  | Some (J_arr samples) ->
-      List.filter_map
-        (fun sample ->
-          (* schema v2 samples carry no backend field: they were all
-             recorded on the decode backend *)
-          let backend =
-            match member "backend" sample with
-            | Some (J_str b) -> b
-            | _ -> "decode"
-          in
-          match
-            ( member "workload" sample,
-              member "strategy" sample,
-              member "sim_cycles_per_sec" sample )
-          with
-          | Some (J_str w), Some (J_str s), Some (J_num r) when r > 0. ->
-              Some ((w, s, backend), r)
-          | _ -> None)
-        samples
-  | _ -> raise (Json_error "no \"samples\" array")
-
 let read_document ~path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let contents = really_input_string ic len in
   close_in ic;
   parse_json contents
-
-let read_baseline ~path = baseline_rates_of_json (read_document ~path)
 
 (* Read back the sections this module writes, so one bench target can
    refresh its own section of BENCH_simulator.json without clobbering
@@ -580,151 +606,147 @@ let read_baseline ~path = baseline_rates_of_json (read_document ~path)
 let j_int = function Some (J_num f) -> Some (int_of_float f) | _ -> None
 let j_float = function Some (J_num f) -> Some f | _ -> None
 let j_str = function Some (J_str s) -> Some s | _ -> None
+let j_bool = function Some (J_bool b) -> Some b | _ -> None
+let j_arr = function Some (J_arr xs) -> Some xs | _ -> None
 
-let sample_of_json j =
-  match
-    ( j_str (member "workload" j),
-      j_str (member "strategy" j),
-      j_int (member "runs" j),
-      j_float (member "wall_seconds" j) )
-  with
-  | Some workload, Some strategy, Some runs, Some wall_seconds ->
-      let geti k = Option.value ~default:0 (j_int (member k j)) in
-      let getf k = Option.value ~default:0. (j_float (member k j)) in
-      Some
-        {
-          workload;
-          strategy;
-          backend =
-            Option.value ~default:"decode" (j_str (member "backend" j));
-          encoding =
-            Option.value ~default:"huffman" (j_str (member "encoding" j));
-          runs;
-          wall_seconds;
-          sim_cycles = geti "sim_cycles";
-          host_instrs = geti "host_instrs";
-          short_instrs = geti "short_instrs";
-          dir_steps = geti "dir_steps";
-          sim_cycles_per_sec = getf "sim_cycles_per_sec";
-          host_instrs_per_sec = getf "host_instrs_per_sec";
-          wall_us_per_run = getf "wall_us_per_run";
-        }
-  | _ -> None
+(* Field readers for [decode]: a missing [req] field rejects the whole
+   record, an [opt] one takes its default (older documents lack it). *)
+let req conv key j =
+  match conv (member key j) with Some v -> v | None -> raise Exit
 
-let read_samples ~path =
-  match member "samples" (read_document ~path) with
-  | Some (J_arr samples) -> List.filter_map sample_of_json samples
-  | _ -> []
+let opt conv ~default key j = Option.value ~default (conv (member key j))
+let decode f j = try Some (f j) with Exit -> None
 
-let read_sweep ~path =
-  match member "sweep" (read_document ~path) with
-  | Some (J_obj _ as s) -> (
-      match
-        ( j_int (member "points" s),
-          j_int (member "domains" s),
-          j_float (member "wall_seconds_1" s),
-          j_float (member "wall_seconds_n" s),
-          j_float (member "speedup" s),
-          member "identical" s )
-      with
-      | Some points, Some domains, Some w1, Some wn, Some speedup,
-        Some (J_bool identical) ->
-          Some
-            {
-              sweep_points = points;
-              sweep_domains = domains;
-              sweep_wall_1 = w1;
-              sweep_wall_n = wn;
-              sweep_speedup = speedup;
-              sweep_identical = identical;
-            }
-      | _ -> None)
-  | _ -> None
+let sample_of_json =
+  decode (fun j ->
+      let int k = opt j_int ~default:0 k j
+      and float k = opt j_float ~default:0. k j
+      and recorded k = opt j_float ~default:nan k j in
+      {
+        workload = req j_str "workload" j;
+        strategy = req j_str "strategy" j;
+        backend = opt j_str ~default:"decode" "backend" j;
+        encoding = opt j_str ~default:"huffman" "encoding" j;
+        runs = req j_int "runs" j;
+        wall_seconds = req j_float "wall_seconds" j;
+        sim_cycles = int "sim_cycles";
+        host_instrs = int "host_instrs";
+        short_instrs = int "short_instrs";
+        dir_steps = int "dir_steps";
+        sim_cycles_per_sec = float "sim_cycles_per_sec";
+        host_instrs_per_sec = float "host_instrs_per_sec";
+        wall_us_per_run = float "wall_us_per_run";
+        minor_words_per_cycle = recorded "minor_words_per_cycle";
+        promoted_words_per_cycle = recorded "promoted_words_per_cycle";
+      })
 
-let load_point_of_json j =
-  match
-    ( j_str (member "policy" j),
-      j_float (member "rate" j),
-      j_int (member "quantum" j),
-      j_int (member "jobs" j) )
-  with
-  | Some policy, Some rate, Some quantum, Some jobs ->
-      let geti k = Option.value ~default:0 (j_int (member k j)) in
-      let getf k = Option.value ~default:0. (j_float (member k j)) in
-      Some
-        {
-          lp_policy = policy;
-          lp_rate = rate;
-          lp_quantum = quantum;
-          lp_jobs = jobs;
-          lp_completed = geti "completed";
-          lp_shed = geti "shed";
-          lp_throughput = getf "throughput_per_mcycle";
-          lp_p50 = geti "sojourn_p50";
-          lp_p95 = geti "sojourn_p95";
-          lp_p99 = geti "sojourn_p99";
-          lp_mean_slowdown = getf "mean_slowdown";
-        }
-  | _ -> None
+let read_baseline ~path =
+  match j_arr (member "samples" (read_document ~path)) with
+  | None -> raise (Json_error "no \"samples\" array")
+  | Some samples ->
+      List.filter_map
+        (decode (fun j ->
+             let rate = req j_float "sim_cycles_per_sec" j in
+             if rate <= 0. then raise Exit;
+             (* schema v2 samples carry no backend field: they were all
+                recorded on the decode backend *)
+             ( ( req j_str "workload" j,
+                 req j_str "strategy" j,
+                 opt j_str ~default:"decode" "backend" j ),
+               rate )))
+        samples
 
-let read_load ~path =
-  match member "load" (read_document ~path) with
-  | Some (J_obj _ as l) -> (
-      match member "points" l with
-      | Some (J_arr points) ->
-          Some
-            {
-              load_seed = Option.value ~default:0 (j_int (member "seed" l));
-              load_slots = Option.value ~default:0 (j_int (member "slots" l));
-              load_points = List.filter_map load_point_of_json points;
-            }
-      | _ -> None)
-  | _ -> None
+let samples_of_json doc =
+  List.filter_map sample_of_json (opt j_arr ~default:[] "samples" doc)
 
-let resilience_point_of_json j =
-  match
-    ( j_str (member "policy" j),
-      j_float (member "fault_rate" j),
-      j_float (member "rate" j),
-      j_int (member "quantum" j) )
-  with
-  | Some policy, Some fault_rate, Some rate, Some quantum ->
-      let geti k = Option.value ~default:0 (j_int (member k j)) in
-      let getf k = Option.value ~default:0. (j_float (member k j)) in
-      Some
-        {
-          rp_policy = policy;
-          rp_fault_rate = fault_rate;
-          rp_rate = rate;
-          rp_quantum = quantum;
-          rp_jobs = geti "jobs";
-          rp_completed = geti "completed";
-          rp_failed = geti "failed";
-          rp_shed = geti "shed";
-          rp_slo_attainment = getf "slo_attainment";
-          rp_goodput = getf "goodput_per_mcycle";
-          rp_injected = geti "injected";
-          rp_detected = geti "detected";
-          rp_job_retries = geti "job_retries";
-          rp_p99 = geti "sojourn_p99";
-          rp_p99_degradation = getf "p99_degradation";
-        }
-  | _ -> None
+let read_samples ~path = samples_of_json (read_document ~path)
 
-let read_resilience ~path =
-  match member "resilience" (read_document ~path) with
-  | Some (J_obj _ as r) -> (
-      match member "points" r with
-      | Some (J_arr points) ->
-          Some
-            {
-              res_seed = Option.value ~default:0 (j_int (member "seed" r));
-              res_slots = Option.value ~default:0 (j_int (member "slots" r));
-              res_slo = Option.value ~default:0 (j_int (member "slo_bound" r));
-              res_points = List.filter_map resilience_point_of_json points;
-            }
-      | _ -> None)
-  | _ -> None
+let run_of_json =
+  decode (fun j ->
+      {
+        run_unix_time = req j_float "unix_time" j;
+        run_host_cores = j_int (member "host_cores" j);
+        run_samples = samples_of_json j;
+      })
+
+let read_run ~path = run_of_json (read_document ~path)
+
+(* The [name] section of the document at [path], if present and whole. *)
+let read_section name of_json ~path =
+  Option.bind (member name (read_document ~path)) of_json
+
+let read_previous = read_section "previous" run_of_json
+
+let read_sweep =
+  read_section "sweep"
+    (decode (fun s ->
+         {
+           sweep_points = req j_int "points" s;
+           sweep_domains = req j_int "domains" s;
+           sweep_wall_1 = req j_float "wall_seconds_1" s;
+           sweep_wall_n = req j_float "wall_seconds_n" s;
+           sweep_speedup = req j_float "speedup" s;
+           sweep_identical = req j_bool "identical" s;
+         }))
+
+let load_point_of_json =
+  decode (fun j ->
+      let int k = opt j_int ~default:0 k j in
+      {
+        lp_policy = req j_str "policy" j;
+        lp_rate = req j_float "rate" j;
+        lp_quantum = req j_int "quantum" j;
+        lp_jobs = req j_int "jobs" j;
+        lp_completed = int "completed";
+        lp_shed = int "shed";
+        lp_throughput = opt j_float ~default:0. "throughput_per_mcycle" j;
+        lp_p50 = int "sojourn_p50";
+        lp_p95 = int "sojourn_p95";
+        lp_p99 = int "sojourn_p99";
+        lp_mean_slowdown = opt j_float ~default:0. "mean_slowdown" j;
+      })
+
+let read_load =
+  read_section "load"
+    (decode (fun l ->
+         {
+           load_seed = opt j_int ~default:0 "seed" l;
+           load_slots = opt j_int ~default:0 "slots" l;
+           load_points = List.filter_map load_point_of_json (req j_arr "points" l);
+         }))
+
+let resilience_point_of_json =
+  decode (fun j ->
+      let int k = opt j_int ~default:0 k j
+      and float k = opt j_float ~default:0. k j in
+      {
+        rp_policy = req j_str "policy" j;
+        rp_fault_rate = req j_float "fault_rate" j;
+        rp_rate = req j_float "rate" j;
+        rp_quantum = req j_int "quantum" j;
+        rp_jobs = int "jobs";
+        rp_completed = int "completed";
+        rp_failed = int "failed";
+        rp_shed = int "shed";
+        rp_slo_attainment = float "slo_attainment";
+        rp_goodput = float "goodput_per_mcycle";
+        rp_injected = int "injected";
+        rp_detected = int "detected";
+        rp_job_retries = int "job_retries";
+        rp_p99 = int "sojourn_p99";
+        rp_p99_degradation = float "p99_degradation";
+      })
+
+let read_resilience =
+  read_section "resilience"
+    (decode (fun r ->
+         {
+           res_seed = opt j_int ~default:0 "seed" r;
+           res_slots = opt j_int ~default:0 "slots" r;
+           res_slo = opt j_int ~default:0 "slo_bound" r;
+           res_points =
+             List.filter_map resilience_point_of_json (req j_arr "points" r);
+         }))
 
 type regression = {
   reg_workload : string;

@@ -19,6 +19,12 @@ type sample = {
   sim_cycles_per_sec : float;
   host_instrs_per_sec : float;
   wall_us_per_run : float;
+  minor_words_per_cycle : float;
+      (** minor-heap words the machine layer ([Machine.run]) allocated per
+          simulated cycle over the timed runs; [nan] in samples read from
+          documents that predate the field *)
+  promoted_words_per_cycle : float;
+      (** words promoted to the major heap per simulated cycle, likewise *)
 }
 
 val strategies : (string * Uhm.strategy) list
@@ -138,23 +144,39 @@ type resilience_bench = {
   res_points : resilience_point list;
 }
 
+(** A whole recorded run: what a document's top level holds, and what its
+    ["previous"] section keeps of the run before it. *)
+type run = {
+  run_unix_time : float;
+  run_host_cores : int option;  (** [None] in documents that predate it *)
+  run_samples : sample list;
+}
+
 val to_json :
   ?sweep:sweep_bench ->
   ?load:load_bench ->
   ?resilience:resilience_bench ->
+  ?previous:run ->
   sample list ->
   string
 (** The BENCH_simulator.json document (schema "uhm-bench-simulator/5"):
-    an object with [schema], [generated_by], [unix_time], an optional
-    [sweep] object, an optional [load] section, an optional [resilience]
-    section, a [backend] section (present when the samples cover both
-    backends: per-pair host speedups and their geometric mean) and a
-    [samples] array, each sample carrying its [backend]. *)
+    an object with [schema], [generated_by], [unix_time], [host_cores],
+    an optional [sweep] object, an optional [load] section, an optional
+    [resilience] section, an optional [previous] section (the run these
+    samples replaced, with its own [unix_time], [host_cores], [backend]
+    and [samples] — a before/after pair when both ran on one host), a
+    [backend] section (present when the samples cover both backends:
+    per-pair host speedups and their geometric mean) and a [samples]
+    array, each sample carrying its [backend] and its allocation per
+    simulated cycle ([null] when not recorded).  Fields added since the
+    first v5 documents are optional to readers, so older documents still
+    read. *)
 
 val write_json :
   ?sweep:sweep_bench ->
   ?load:load_bench ->
   ?resilience:resilience_bench ->
+  ?previous:run ->
   path:string ->
   sample list ->
   unit
@@ -188,6 +210,14 @@ val read_samples : path:string -> sample list
 (** The full [samples] array of a previously written document (empty when
     absent); lets [bench load] rewrite the file without re-measuring.
     Raises [Json_error] on malformed input. *)
+
+val read_run : path:string -> run option
+(** The document's own top-level run (its [unix_time], [host_cores] and
+    [samples]) — what [bench perf] moves into [previous] when it records a
+    new run. *)
+
+val read_previous : path:string -> run option
+(** The [previous] section, if present. *)
 
 val read_sweep : path:string -> sweep_bench option
 (** The [sweep] section of a previously written document, if present. *)

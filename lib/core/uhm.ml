@@ -347,7 +347,7 @@ let run_interpreted ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist
       | None -> Machine.Dir_uncached);
   Machine.set_hooks m (interp_hooks ~assist encoded);
   Machine.set_reg m R.dpc encoded.Codec.entry_addr;
-  Machine.set_pc m (Machine.Long gen.Interp_gen.entry);
+  Machine.set_pc_long m gen.Interp_gen.entry;
   let support =
     host_word_bits
     * (Array.length gen.Interp_gen.program.Asm.code
@@ -358,62 +358,71 @@ let run_interpreted ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist
 
 (* -- The DTB hook set ---------------------------------------------------------
    The IU2-side hooks every DTB configuration shares.  EmitShort appends
-   the word to the open translation (poking chain words when an overflow
-   block is linked in); EndTrans transfers to the finished translation.
-   Only the INTERP hook varies between the plain, two-level and shared
-   configurations. *)
+   the word to the open translation (poking the chain GOTO when an
+   overflow block is linked in); EndTrans transfers to the finished
+   translation.  Only the INTERP hook varies between the plain, two-level
+   and shared configurations.  Each hook is a closure of exactly the
+   arity the machine calls it with, never a partial application, and the
+   plain path allocates nothing on a hit, a miss or an install.  The
+   threaded backend leaves the buffer to the decode path (see
+   [Machine.enable_short_compile]), so entry death needs no hook. *)
 
-let dtb_emit_hooks ~dtb ~emitted_words ~h_interp ~h_decode_assist =
-  {
-    Machine.h_interp;
-    h_emit_short =
-      (fun m word ->
-        incr emitted_words;
-        let addr, chain_writes = Dtb.emit dtb word in
-        Machine.poke m addr word;
-        Machine.charge_mem m addr;
-        List.iter
-          (fun (a, w) ->
-            Machine.poke m a w;
-            Machine.charge_mem m a)
-          chain_writes);
-    h_end_trans =
-      (fun m -> Machine.set_pc m (Machine.Short (Dtb.end_translation dtb)));
-    h_decode_assist;
-  }
-
-(* Wire the threaded backend to the DTB lifecycle: closures may be cached
-   for any word of the buffer region (including the bootstrap INTERP), and
-   die exactly when the directory entry owning them does. *)
-let attach_threaded_dtb ~backend m ~layout ~dtb =
-  match backend with
-  | `Decode -> ()
-  | `Threaded ->
-      Machine.enable_short_compile m ~base:layout.Layout.dtb_buffer_base
-        ~size:layout.Layout.dtb_buffer_size;
-      Dtb.add_drop_hook dtb (fun ~addr ~words ->
-          Machine.drop_short_range m ~addr ~len:words)
+(* Write [word] and any chain GOTO into the buffer; returns [word]'s
+   address. *)
+let emit_short dtb m word =
+  let addr = Dtb.emit_addr dtb word in
+  Machine.poke m addr word;
+  Machine.charge_mem m addr;
+  let goto_addr = Dtb.chain_addr dtb in
+  if goto_addr >= 0 then begin
+    Machine.poke m goto_addr (Dtb.chain_word dtb);
+    Machine.charge_mem m goto_addr
+  end;
+  addr
 
 (* The plain INTERP hook (paper Figure 4): charge the DTB access, transfer
    on a hit; on a miss the replacement logic installs the tag and traps to
    the dynamic translation routine.  [on_translation] is an observability
    callback (the multiprogramming trace layer); it fires before the
    replacement logic touches the buffer. *)
-let plain_dtb_interp ~t_dtb ~dtb ~translator_entry ~on_translation =
-  fun m ~dir_addr ~dctx ->
-    Machine.add_cycles m t_dtb;
-    match Dtb.lookup dtb ~tag:dir_addr with
-    | `Hit buffer_addr -> Machine.set_pc m (Machine.Short buffer_addr)
-    | `Miss ->
-        on_translation ~dir_addr;
-        Dtb.begin_translation dtb ~tag:dir_addr;
-        Machine.set_reg m R.dpc dir_addr;
-        Machine.set_reg m R.dctx dctx;
-        Machine.set_pc m (Machine.Long translator_entry)
+let plain_dtb_interp ~t_dtb ~dtb ~translator_entry ~on_translation m ~dir_addr
+    ~dctx =
+  Machine.add_cycles m t_dtb;
+  let buffer_addr = Dtb.probe dtb ~tag:dir_addr in
+  if buffer_addr >= 0 then Machine.set_pc_short m buffer_addr
+  else begin
+    on_translation ~dir_addr;
+    Dtb.begin_translation dtb ~tag:dir_addr;
+    Machine.set_reg m R.dpc dir_addr;
+    Machine.set_reg m R.dctx dctx;
+    Machine.set_pc_long m translator_entry
+  end
+
+(* A machine set up to translate [encoded] through [dtb]: the generated
+   translator and its tables loaded, [hooks] (built from the translator)
+   installed, and the pc on the bootstrap INTERP at
+   [layout.dtb_buffer_base], the word before the buffer. *)
+let dtb_machine ~timing ~fuel ~layout ~backend ~gen ~dtb ~hooks
+    (encoded : Codec.encoded) =
+  if 1 + Dtb.buffer_words dtb > layout.Layout.dtb_buffer_size then
+    invalid_arg "Uhm: DTB buffer does not fit its memory region";
+  let m =
+    setup_machine ~timing ~fuel ~layout ~backend
+      ~program:gen.Translate_gen.program encoded.Codec.program
+  in
+  Array.iteri
+    (fun i w -> Machine.poke m (layout.Layout.table_base + i) w)
+    gen.Translate_gen.table_image;
+  Machine.set_dir_stream m ~bits:encoded.Codec.bits ~mode:Machine.Dir_uncached;
+  Machine.set_hooks m hooks;
+  let bootstrap_addr = layout.Layout.dtb_buffer_base in
+  Machine.poke m bootstrap_addr
+    (SF.pack ~ctx:Stats.start_context SF.Interp_imm encoded.Codec.entry_addr);
+  Machine.set_pc_short m bootstrap_addr;
+  m
 
 let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
     ~block ?l2 cfg (encoded : Codec.encoded) =
-  let p = encoded.Codec.program in
   let gen = translate_gen_memoized ~compound ~block ~assist ~layout ~encoded in
   (* second-level decoded-instruction store (multi-level translation,
      paper section 4): presence is a fully-associative LRU of [l2] entries;
@@ -425,75 +434,73 @@ let run_dtb ~timing ~fuel ~layout ~backend ~runner ~strategy ~assist ~compound
          Hashtbl.create 256))
       l2
   in
-  let m =
-    setup_machine ~timing ~fuel ~layout ~backend
-      ~program:gen.Translate_gen.program p
-  in
-  Array.iteri
-    (fun i w -> Machine.poke m (layout.Layout.table_base + i) w)
-    gen.Translate_gen.table_image;
-  Machine.set_dir_stream m ~bits:encoded.Codec.bits ~mode:Machine.Dir_uncached;
-  let bootstrap_addr = layout.Layout.dtb_buffer_base in
-  let dtb = Dtb.create cfg ~buffer_base:(bootstrap_addr + 1) in
-  if 1 + Dtb.buffer_words dtb > layout.Layout.dtb_buffer_size then
-    invalid_arg "Uhm.run: DTB buffer does not fit its memory region";
-  attach_threaded_dtb ~backend m ~layout ~dtb;
+  let dtb = Dtb.create cfg ~buffer_base:(layout.Layout.dtb_buffer_base + 1) in
   let t_dtb = timing.Timing.t_dtb in
   let emitted_words = ref 0 in
+  let translator_entry = gen.Translate_gen.translator_entry in
   let h_interp =
     match l2_cache with
     | None ->
-        plain_dtb_interp ~t_dtb ~dtb
-          ~translator_entry:gen.Translate_gen.translator_entry
-          ~on_translation:(fun ~dir_addr:_ -> ())
+        fun m ~dir_addr ~dctx ->
+          plain_dtb_interp ~t_dtb ~dtb ~translator_entry
+            ~on_translation:(fun ~dir_addr:_ -> ())
+            m ~dir_addr ~dctx
     | Some (cache, payload) ->
         fun m ~dir_addr ~dctx ->
           Machine.add_cycles m t_dtb;
-          (match Dtb.lookup dtb ~tag:dir_addr with
-          | `Hit buffer_addr -> Machine.set_pc m (Machine.Short buffer_addr)
-          | `Miss -> (
-              (* the replacement logic installs the tag and traps to the
-                 dynamic translation routine (paper Figure 4) *)
-              Dtb.begin_translation dtb ~tag:dir_addr;
-              Machine.set_reg m R.dpc dir_addr;
-              Machine.set_reg m R.dctx dctx;
-              Machine.add_cycles m t_dtb;
-              match Cache.access cache dir_addr with
-              | `Hit when Hashtbl.mem payload dir_addr ->
-                  (* decode skipped: the stored fields are presented to
-                     the translator's dispatch directly *)
-                  let raw : Codec.raw_instr = Hashtbl.find payload dir_addr in
-                  Machine.set_reg m 8 (Isa.opcode_to_enum raw.Codec.op);
-                  Machine.set_reg m 9 raw.Codec.ra;
-                  Machine.set_reg m 10 raw.Codec.rb;
-                  Machine.set_reg m 11 raw.Codec.rc;
-                  Machine.set_reg m R.dpc raw.Codec.next_addr;
-                  Machine.set_pc m
-                    (Machine.Long gen.Translate_gen.dispatch_entry)
-              | `Hit | `Miss ->
-                  (* record this decode for later re-translations *)
-                  Hashtbl.replace payload dir_addr
-                    (Codec.decode_at encoded
-                       ~contour:(Machine.reg m R.ctx) ~digram_ctx:dctx
-                       ~addr:dir_addr);
-                  Machine.set_pc m
-                    (Machine.Long gen.Translate_gen.translator_entry)))
+          let buffer_addr = Dtb.probe dtb ~tag:dir_addr in
+          if buffer_addr >= 0 then Machine.set_pc_short m buffer_addr
+          else begin
+            (* the replacement logic installs the tag and traps to the
+               dynamic translation routine (paper Figure 4) *)
+            Dtb.begin_translation dtb ~tag:dir_addr;
+            Machine.set_reg m R.dpc dir_addr;
+            Machine.set_reg m R.dctx dctx;
+            Machine.add_cycles m t_dtb;
+            match Cache.access cache dir_addr with
+            | `Hit when Hashtbl.mem payload dir_addr ->
+                (* decode skipped: the stored fields are presented to
+                   the translator's dispatch directly *)
+                let raw : Codec.raw_instr = Hashtbl.find payload dir_addr in
+                Machine.set_reg m 8 (Isa.opcode_to_enum raw.Codec.op);
+                Machine.set_reg m 9 raw.Codec.ra;
+                Machine.set_reg m 10 raw.Codec.rb;
+                Machine.set_reg m 11 raw.Codec.rc;
+                Machine.set_reg m R.dpc raw.Codec.next_addr;
+                Machine.set_pc_long m gen.Translate_gen.dispatch_entry
+            | `Hit | `Miss ->
+                (* record this decode for later re-translations *)
+                Hashtbl.replace payload dir_addr
+                  (Codec.decode_at encoded
+                     ~contour:(Machine.reg m R.ctx) ~digram_ctx:dctx
+                     ~addr:dir_addr);
+                Machine.set_pc_long m translator_entry
+          end
   in
-  Machine.set_hooks m
-    (dtb_emit_hooks ~dtb ~emitted_words ~h_interp
-       ~h_decode_assist:(if assist then assist_hook encoded else fun _ -> ()));
-  Machine.poke m bootstrap_addr
-    (SF.pack ~ctx:Stats.start_context SF.Interp_imm encoded.Codec.entry_addr);
-  Machine.set_pc m (Machine.Short bootstrap_addr);
+  let m =
+    dtb_machine ~timing ~fuel ~layout ~backend ~gen ~dtb encoded
+      ~hooks:
+        {
+          Machine.h_interp;
+          h_emit_short =
+            (fun m word ->
+              incr emitted_words;
+              ignore (emit_short dtb m word));
+          h_end_trans =
+            (fun m -> Machine.set_pc_short m (Dtb.end_translation dtb));
+          h_decode_assist =
+            (if assist then assist_hook encoded else fun _ -> ());
+        }
+  in
   let support =
     host_word_bits
     * (Array.length gen.Translate_gen.program.Asm.code
       + Array.length gen.Translate_gen.table_image)
     + (SF.bits_per_word * Dtb.buffer_words dtb)
   in
-  finish ~runner ~strategy ~p ~static_size_bits:encoded.Codec.size_bits
-    ~support_size_bits:support ~dtb ~emitted_words
-    ?l2_cache:(Option.map fst l2_cache) m
+  finish ~runner ~strategy ~p:encoded.Codec.program
+    ~static_size_bits:encoded.Codec.size_bits ~support_size_bits:support ~dtb
+    ~emitted_words ?l2_cache:(Option.map fst l2_cache) m
 
 (* A machine time-slicing over a *shared* DTB: everything [run_dtb] sets up
    except the run itself and the DTB, which the multiprogramming layer owns
@@ -517,50 +524,32 @@ let prepare_dtb_custom ?(timing = Timing.paper) ?(fuel = default_fuel)
     ?(on_emit = fun ~addr:_ ~word:_ -> ())
     ?(on_end_translation = fun ~start_addr:_ -> ()) ~make_interp ~dtb
     (encoded : Codec.encoded) =
-  let p = encoded.Codec.program in
   let gen =
     translate_gen_memoized ~compound:false ~block:None ~assist:false ~layout
       ~encoded
   in
-  let m =
-    setup_machine ~timing ~fuel ~layout ~backend
-      ~program:gen.Translate_gen.program p
-  in
-  Array.iteri
-    (fun i w -> Machine.poke m (layout.Layout.table_base + i) w)
-    gen.Translate_gen.table_image;
-  Machine.set_dir_stream m ~bits:encoded.Codec.bits ~mode:Machine.Dir_uncached;
-  let bootstrap_addr = layout.Layout.dtb_buffer_base in
-  if 1 + Dtb.buffer_words dtb > layout.Layout.dtb_buffer_size then
-    invalid_arg
-      "Uhm.prepare_dtb_custom: DTB buffer does not fit its memory region";
-  attach_threaded_dtb ~backend m ~layout ~dtb;
   let translator_entry = gen.Translate_gen.translator_entry in
-  Machine.set_hooks m
-    {
-      Machine.h_interp = make_interp ~translator_entry;
-      h_emit_short =
-        (fun m word ->
-          let addr, chain_writes = Dtb.emit dtb word in
-          Machine.poke m addr word;
-          Machine.charge_mem m addr;
-          on_emit ~addr ~word;
-          List.iter
-            (fun (a, w) ->
-              Machine.poke m a w;
-              Machine.charge_mem m a;
-              on_emit ~addr:a ~word:w)
-            chain_writes);
-      h_end_trans =
-        (fun m ->
-          let start_addr = Dtb.end_translation dtb in
-          on_end_translation ~start_addr;
-          Machine.set_pc m (Machine.Short start_addr));
-      h_decode_assist = (fun _ -> ());
-    };
-  Machine.poke m bootstrap_addr
-    (SF.pack ~ctx:Stats.start_context SF.Interp_imm encoded.Codec.entry_addr);
-  Machine.set_pc m (Machine.Short bootstrap_addr);
+  let m =
+    dtb_machine ~timing ~fuel ~layout ~backend ~gen ~dtb encoded
+      ~hooks:
+        {
+          Machine.h_interp =
+            (fun m ~dir_addr ~dctx ->
+              make_interp ~translator_entry m ~dir_addr ~dctx);
+          h_emit_short =
+            (fun m word ->
+              on_emit ~addr:(emit_short dtb m word) ~word;
+              let goto_addr = Dtb.chain_addr dtb in
+              if goto_addr >= 0 then
+                on_emit ~addr:goto_addr ~word:(Dtb.chain_word dtb));
+          h_end_trans =
+            (fun m ->
+              let start_addr = Dtb.end_translation dtb in
+              on_end_translation ~start_addr;
+              Machine.set_pc_short m start_addr);
+          h_decode_assist = (fun _ -> ());
+        }
+  in
   (m, translator_entry)
 
 let prepare_dtb_shared ?timing ?fuel ?layout ?backend
@@ -570,8 +559,9 @@ let prepare_dtb_shared ?timing ?fuel ?layout ?backend
   in
   let m, _ =
     prepare_dtb_custom ?timing ?fuel ?layout ?backend
-      ~make_interp:(fun ~translator_entry ->
-        plain_dtb_interp ~t_dtb ~dtb ~translator_entry ~on_translation)
+      ~make_interp:(fun ~translator_entry m ~dir_addr ~dctx ->
+        plain_dtb_interp ~t_dtb ~dtb ~translator_entry ~on_translation m
+          ~dir_addr ~dctx)
       ~dtb encoded
   in
   m
@@ -596,7 +586,7 @@ let prepare_interp ?(timing = Timing.paper) ?(fuel = default_fuel)
   Machine.set_dir_stream m ~bits:encoded.Codec.bits ~mode:Machine.Dir_uncached;
   Machine.set_hooks m (interp_hooks ~assist:false encoded);
   Machine.set_reg m R.dpc encoded.Codec.entry_addr;
-  Machine.set_pc m (Machine.Long gen.Interp_gen.entry);
+  Machine.set_pc_long m gen.Interp_gen.entry;
   m
 
 let run_psder_static ~timing ~fuel ~layout ~backend ~runner ~strategy ~compound
@@ -612,7 +602,7 @@ let run_psder_static ~timing ~fuel ~layout ~backend ~runner ~strategy ~compound
   | `Threaded ->
       Machine.enable_short_compile m ~base:layout.Layout.psder_static_base
         ~size:layout.Layout.psder_static_size);
-  Machine.set_pc m (Machine.Short static.Static_gen.entry_addr);
+  Machine.set_pc_short m static.Static_gen.entry_addr;
   finish ~runner ~strategy ~p
     ~static_size_bits:(Static_gen.size_bits static)
     ~support_size_bits:(host_word_bits * Array.length program.Asm.code)
@@ -639,7 +629,7 @@ let run_der ~timing ~fuel ~layout ~backend ~runner ~strategy residence
             | `Miss -> timing.Timing.t2);
         Some c
   in
-  Machine.set_pc m (Machine.Long der.Der_gen.entry);
+  Machine.set_pc_long m der.Der_gen.entry;
   finish ~runner ~strategy ~p
     ~static_size_bits:(H.bits_per_instr * der.Der_gen.code_instructions)
     ~support_size_bits:0 ?icache m

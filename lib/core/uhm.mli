@@ -145,7 +145,9 @@ val prepare_dtb_custom : ?timing:Timing.t -> ?fuel:int
     per-entry guards and fault hooks are built on these taps.  With the
     default no-op taps and a [make_interp] that performs the plain
     lookup/translate protocol, the machine is cycle-identical to
-    {!prepare_dtb_shared}'s — which is itself now a thin wrapper. *)
+    {!prepare_dtb_shared}'s — which is itself now a thin wrapper.
+    [make_interp] is applied to all four arguments on every INTERP, so a
+    function of exactly that arity keeps the hook from allocating. *)
 
 val prepare_interp : ?timing:Timing.t -> ?fuel:int
   -> ?layout:Uhm_psder.Layout.t -> ?backend:Machine.backend

@@ -188,7 +188,7 @@ let hooks e t_of =
     Dtb.begin_translation dtb ~tag:dir_addr;
     Machine.set_reg m R.dpc dir_addr;
     Machine.set_reg m R.dctx dctx;
-    Machine.set_pc m (Machine.Long translator_entry)
+    Machine.set_pc_long m translator_entry
   in
   let detect m ~translator_entry ~dir_addr ~dctx ~fclass ~checked_words =
     let t = t_of () in
@@ -213,29 +213,28 @@ let hooks e t_of =
     | [] -> ()
     | faults -> List.iter (apply_fault m) faults);
     Machine.add_cycles m t_dtb;
-    match Dtb.lookup dtb ~tag:dir_addr with
-    | `Hit buffer_addr ->
-        if not fc.guards then Machine.set_pc m (Machine.Short buffer_addr)
-        else begin
-          match
-            Guard.check t.guard ~peek:(Machine.peek m) ~dir_addr
-              ~start_addr:buffer_addr
-          with
-          | `Ok words ->
-              Machine.add_cycles m (t_guard * words);
-              Machine.set_pc m (Machine.Short buffer_addr)
-          | `Mismatch | `Unguarded ->
-              (* a different (or no) DIR address answered: the tag array
-                 lied — drop the aliased entry and retranslate *)
-              Guard.drop t.guard ~start_addr:buffer_addr;
-              detect m ~translator_entry ~dir_addr ~dctx ~fclass:"dtb-tag"
-                ~checked_words:1
-          | `Corrupt words ->
-              Guard.drop t.guard ~start_addr:buffer_addr;
-              detect m ~translator_entry ~dir_addr ~dctx ~fclass:"psder-word"
-                ~checked_words:words
-        end
-    | `Miss -> start_translation m ~translator_entry ~dir_addr ~dctx
+    let buffer_addr = Dtb.probe dtb ~tag:dir_addr in
+    if buffer_addr < 0 then start_translation m ~translator_entry ~dir_addr ~dctx
+    else if not fc.guards then Machine.set_pc_short m buffer_addr
+    else begin
+      match
+        Guard.check t.guard ~peek:(Machine.peek m) ~dir_addr
+          ~start_addr:buffer_addr
+      with
+      | `Ok words ->
+          Machine.add_cycles m (t_guard * words);
+          Machine.set_pc_short m buffer_addr
+      | `Mismatch | `Unguarded ->
+          (* a different (or no) DIR address answered: the tag array
+             lied — drop the aliased entry and retranslate *)
+          Guard.drop t.guard ~start_addr:buffer_addr;
+          detect m ~translator_entry ~dir_addr ~dctx ~fclass:"dtb-tag"
+            ~checked_words:1
+      | `Corrupt words ->
+          Guard.drop t.guard ~start_addr:buffer_addr;
+          detect m ~translator_entry ~dir_addr ~dctx ~fclass:"psder-word"
+            ~checked_words:words
+    end
   in
   let on_emit ~addr ~word =
     if fc.guards then Guard.on_emit (t_of ()).guard ~addr ~word

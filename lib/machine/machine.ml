@@ -168,8 +168,8 @@ type t = {
          opening a 512K-word window costs a handful of chunk pointers, not
          a window-sized closure array per machine.  Every slot is always
          callable, so the span loop needs no per-iteration compiled-or-not
-         test; invalidation writes [cold_short] back (or re-points a fully
-         covered chunk at [cold_chunk]). *)
+         test; a store writes [cold_short] back, and {!restore} re-points
+         every chunk at [cold_chunk]. *)
   mutable max_access_cost : int;
       (* max region cost: upper bound on what one memory access can charge *)
 }
@@ -379,8 +379,10 @@ let set_code_fetch_hook t f =
 (* Open a short-compile window over [base, base+size): the threaded
    backend may cache closures for short words in this range (compiled on
    demand as the pc reaches them).  A no-op on decode machines.  The
-   window must cover only addresses whose region assignment is fixed for
-   the machine's lifetime — true of every region in this simulator. *)
+   window is for static images, written once before the run: compiling
+   is repaid only by words that execute many times per install.  It must
+   cover only addresses whose region assignment is fixed for the
+   machine's lifetime — true of every region in this simulator. *)
 let enable_short_compile t ~base ~size =
   if t.threaded && size > 0 then begin
     if base < 0 || base + size > t.mem_words then
@@ -393,38 +395,6 @@ let enable_short_compile t ~base ~size =
         !cold_chunk_cell
   end
 
-(* Drop any compiled closures for words in [addr, addr+len) — the DTB
-   lifecycle's invalidation tap (eviction, flush, ASID invalidation,
-   aborted translation).  Clamped to the window; a no-op when no window is
-   open. *)
-let drop_short_range t ~addr ~len =
-  if t.sc_size > 0 && len > 0 then begin
-    (* extend down by the block reach: a fused head just below the range
-       may cover dropped words *)
-    let addr = addr - (max_short_block_len - 1) in
-    let len = len + (max_short_block_len - 1) in
-    let lo = if addr > t.sc_base then addr else t.sc_base in
-    let hi = min (addr + len) (t.sc_base + t.sc_size) in
-    if hi > lo then begin
-      t.sc_gen <- t.sc_gen + 1;
-      let cold_chunk = !cold_chunk_cell and cold = !cold_short_cell in
-      let lo = lo - t.sc_base and hi = hi - t.sc_base in
-      let ci = ref (lo lsr sc_chunk_bits) in
-      let last = (hi - 1) lsr sc_chunk_bits in
-      while !ci <= last do
-        let cbase = !ci lsl sc_chunk_bits in
-        let l = max lo cbase and h = min hi (cbase + sc_chunk_words) in
-        let chunk = Array.unsafe_get t.sc_table !ci in
-        if chunk != cold_chunk then
-          (* keep the private chunk and fill it: re-pointing at the
-             shared cold chunk would force a fresh 256-slot copy on the
-             next install, and eviction-heavy programs drop ranges
-             thousands of times per run *)
-          Array.fill chunk (l - cbase) (h - l) cold;
-        incr ci
-      done
-    end
-  end
 let timing t = t.timing
 let reg t r = t.regs.(r)
 let set_reg t r v = t.regs.(r) <- v
@@ -499,13 +469,13 @@ let poke t addr v =
     invalid_arg (Printf.sprintf "Machine.poke: address %d out of range" addr);
   mem_set t addr v
 
-let set_pc t = function
-  | Long a ->
-      t.pc_short <- false;
-      t.pc_addr <- a
-  | Short a ->
-      t.pc_short <- true;
-      t.pc_addr <- a
+let set_pc_long t a =
+  t.pc_short <- false;
+  t.pc_addr <- a
+
+let set_pc_short t a =
+  t.pc_short <- true;
+  t.pc_addr <- a
 
 let pc t = if t.pc_short then Short t.pc_addr else Long t.pc_addr
 let status t = t.status
@@ -1401,15 +1371,14 @@ let compile_short t addr =
 
 (* Run compiled closures until the machine leaves [Running], [lim] cycles
    have been charged, or [quantum] INTERP transfers have completed since
-   [qstart] — always stopping on an instruction boundary.  Anything the
-   fast path can't serve (pc out of range, short word outside the window,
-   undecodable opcode) takes one reference [step].  Callers must ensure
-   [lim <= fuel] so the fallback [step] cannot spuriously run out of
-   fuel mid-span. *)
+   [qstart] — always stopping on an instruction boundary.  A long pc out
+   of range takes one reference [step]; a short word outside the compile
+   window runs [exec_short] in place.  Callers must ensure [lim <= fuel]
+   so neither can spuriously run out of fuel mid-span. *)
 (* The cold/warm closure pair: every table slot is always callable.  A
    cold slot interprets its word in place — exactly the decode path — on
-   its first execution since (re)install and leaves behind a per-address
-   warm closure; the warm closure compiles on the second execution.
+   its first execution since (re)install and leaves behind a warm
+   closure; the warm closure compiles on the second execution.
    Run-once code (straight-line DER expansions, single-shot translations,
    cold library routines) therefore executes at decode speed and never
    pays the compiler, with no hotness side table: the warmth is the slot
@@ -1527,7 +1496,11 @@ let sc_install t i f =
   in
   Array.unsafe_set chunk (i land sc_chunk_mask) f
 
-let warm_short a t =
+(* One static warm closure serves every short slot: the span loop calls a
+   slot only when the pc rests on the slot's own address, so [pc_addr]
+   names the word to compile. *)
+let warm_short t =
+  let a = t.pc_addr in
   match compile_short_block t a with
   | Some f ->
       sc_install t (a - t.sc_base) f;
@@ -1536,7 +1509,7 @@ let warm_short a t =
 
 let cold_short t =
   let a = t.pc_addr in
-  sc_install t (a - t.sc_base) (warm_short a);
+  sc_install t (a - t.sc_base) warm_short;
   exec_short t a
 
 let warm_long a t =
@@ -1606,25 +1579,25 @@ let exec_threaded_span t ~lim ~qstart ~quantum =
     && stats.interp_count - qstart < quantum
   do
     if t.pc_short then begin
+      (* words in the compile window run their slot closures; the rest —
+         the DTB buffer among them — run [exec_short] in place, which is
+         exactly what [step] would do here *)
       let base = t.sc_base and size = t.sc_size in
-      if t.pc_addr - base >= 0 && t.pc_addr - base < size then (
-        let sc = t.sc_table in
-        try
-          while
-            t.status == Running && t.pc_short && stats.cycles < lim
-            && stats.interp_count - qstart < quantum
-            &&
-            let j = t.pc_addr - base in
-            j >= 0 && j < size
-          do
-            let j = t.pc_addr - base in
+      let sc = t.sc_table in
+      try
+        while
+          t.status == Running && t.pc_short && stats.cycles < lim
+          && stats.interp_count - qstart < quantum
+        do
+          let j = t.pc_addr - base in
+          if j >= 0 && j < size then
             (Array.unsafe_get
                (Array.unsafe_get sc (j lsr sc_chunk_bits))
                (j land sc_chunk_mask))
               t
-          done
-        with Machine_trap msg -> t.status <- Trapped msg)
-      else step t
+          else exec_short t t.pc_addr
+        done
+      with Machine_trap msg -> t.status <- Trapped msg
     end
     else begin
       if Array.length t.lc = 0 && Array.length t.code > 0 then

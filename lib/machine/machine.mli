@@ -50,8 +50,8 @@ type dir_fetch_mode =
 type backend = [ `Decode | `Threaded ]
 (** How host instructions are executed.  [`Decode] (the default and the
     reference semantics) re-decodes every instruction on every execution.
-    [`Threaded] compiles long-format code — and, inside a window opened
-    with {!enable_short_compile}, installed short-format words — into
+    [`Threaded] compiles long-format code — and, inside a static-image
+    window opened with {!enable_short_compile}, short-format words — into
     pre-bound OCaml closures dispatched directly, the paper's DIR→PSDER
     move applied to the simulator's own host loop.  The two backends are
     observably identical (cycles, statistics, traps, output, final state)
@@ -81,19 +81,14 @@ val create : ?timing:Timing.t -> ?fuel:int -> ?backend:backend
 val backend : t -> backend
 
 val enable_short_compile : t -> base:int -> size:int -> unit
-(** Open the threaded backend's short-word compile window over
-    [base, base+size): short words executed inside it are compiled to
-    closures on first execution and cached until the word is overwritten,
-    {!drop_short_range} covers it, or {!restore} rewinds memory.  A no-op
-    on [`Decode] machines or when [size <= 0]; raises [Invalid_argument]
-    if the window exceeds memory. *)
-
-val drop_short_range : t -> addr:int -> len:int -> unit
-(** Drop any compiled closures for short words in [addr, addr+len) — the
-    DTB lifecycle tap (entry eviction, flush, ASID invalidation, aborted
-    translation).  Clamped to the compile window; no-op when none is
-    open.  Dropping is always safe: a dropped word is simply re-compiled
-    (or decoded) on next execution. *)
+(** Open the threaded backend's short-word compile window over a static
+    image at [base, base+size), such as the PSDER image: short words
+    executed inside it are compiled to closures on first re-execution
+    and cached until the word is overwritten or {!restore} rewinds
+    memory.  Words outside the window — the DTB buffer among them, whose
+    translations are often evicted before they run again — execute on
+    the decode path.  A no-op on [`Decode] machines or when [size <= 0];
+    raises [Invalid_argument] if the window exceeds memory. *)
 
 val set_hooks : t -> hooks -> unit
 val set_dir_stream : t -> bits:string -> mode:dir_fetch_mode -> unit
@@ -125,7 +120,14 @@ val charge_mem : t -> int -> unit
     [mem_cost] cycles (used by hooks when they touch memory on the
     machine's behalf). *)
 
-val set_pc : t -> pc -> unit
+val set_pc_short : t -> int -> unit
+(** [set_pc_short t a] continues at the short word at memory address [a]
+    (IU2).  It builds no {!pc} value, so hooks transfer without
+    allocating. *)
+
+val set_pc_long : t -> int -> unit
+(** [set_pc_long t a] continues at long-format code address [a] (IU1). *)
+
 val pc : t -> pc
 val status : t -> status
 val stats : t -> stats

@@ -2,13 +2,14 @@
    threaded must be observably identical — cycles, every statistics
    field, traps, output, DTB counters, traces — on the golden suites,
    random programs across strategies, sliced execution with random
-   invalidation points, all three shared-DTB policies, and the fault
-   driver (zero-fault and fault-injected, the stale-closure regression:
-   a guard-detected corruption must drop the compiled closure with the
-   DTB entry). *)
+   invalidation points, the starved DTB geometry's eviction churn, all
+   three shared-DTB policies, and the fault driver (zero-fault and
+   fault-injected: a flipped buffer word or a guard-detected corruption
+   must never leave the threaded machine running stale code). *)
 
 module Dtb = Uhm_core.Dtb
 module U = Uhm_core.Uhm
+module Experiment = Uhm_core.Experiment
 module Machine = Uhm_machine.Machine
 module Layout = Uhm_psder.Layout
 module Kind = Uhm_encoding.Kind
@@ -73,6 +74,8 @@ let strategies =
     ("interp", U.Interp);
     ("cached", U.Cached 4096);
     ("dtb", U.Dtb_strategy Dtb.paper_config);
+    (* the starved 8-set geometry: eviction and overflow-chain churn *)
+    ("dtb_starved", U.Dtb_strategy (List.hd (Experiment.capacity_configs ())));
     (* block translation needs roomier units (see test_core's block_cfg):
        the paper geometry's overflow area drowns on straight-line code *)
     ( "dtb_blocks",
@@ -138,8 +141,8 @@ let prop_backend_differential =
 (* Two machines over private shared-style DTBs, driven in lockstep by
    identical random slice/invalidation schedules: after each quantum the
    same DTB surgery (flush or targeted invalidation) is applied to both.
-   On the threaded machine every drop must retire the compiled closures;
-   a stale closure shows up as a cycle or state divergence. *)
+   Stale code on the threaded machine shows up as a cycle or state
+   divergence. *)
 let prop_backend_sliced_invalidation =
   QCheck.Test.make ~count:20
     ~name:"threaded == decode under sliced runs with random invalidation"
@@ -194,37 +197,11 @@ let prop_backend_sliced_invalidation =
       check_int "dtb evictions" (Dtb.evictions dd) (Dtb.evictions dt);
       true)
 
-(* -- Stale-closure regression -------------------------------------------------
+(* -- Tag corruption --------------------------------------------------------------
 
-   A tag upset leaves the buffer words untouched, so no closures retire;
-   the guard-detected recovery ([Dtb.invalidate]) is the moment the entry
-   — and its closures — must die.  Pinned at two levels: the DTB drop
-   hook's firing discipline, and a machine-level differential where both
-   backends suffer the identical corrupt-then-invalidate sequence. *)
-
-let test_corruption_drop_discipline () =
-  let config = { Dtb.sets = 8; assoc = 2; unit_words = 4; overflow_blocks = 8 } in
-  let dtb = Dtb.create config ~buffer_base:100 in
-  let fired = ref [] in
-  Dtb.add_drop_hook dtb (fun ~addr ~words -> fired := (addr, words) :: !fired);
-  (match Dtb.lookup dtb ~tag:7 with `Hit _ -> () | `Miss -> ());
-  Dtb.begin_translation dtb ~tag:7;
-  ignore (Dtb.emit dtb 1);
-  ignore (Dtb.emit dtb 2);
-  ignore (Dtb.end_translation dtb);
-  check_int "install fires nothing" 0 (List.length !fired);
-  (* flip a bit above the set-index field: the corrupted key then hashes
-     to the entry's own set, i.e. a lookup of it falsely hits — the case
-     the guards catch and recover via [invalidate] *)
-  (match Dtb.corrupt_resident_tag dtb ~pick:0 ~flip:10 with
-  | None -> Alcotest.fail "one entry is resident; corruption must land"
-  | Some (_old_key, new_key) ->
-      check_int "tag upset leaves words valid: no drop" 0 (List.length !fired);
-      (* the guard path detects the bogus hit and invalidates the key *)
-      check_bool "invalidate drops the corrupted entry" true
-        (Dtb.invalidate dtb ~tag:new_key);
-      check_bool "drop hook fired for the entry's unit" true
-        (List.exists (fun (_, words) -> words = config.Dtb.unit_words) !fired))
+   A tag upset leaves the buffer words untouched; the guard-detected
+   recovery ([Dtb.invalidate]) drops the entry.  Both backends suffer the
+   identical corrupt-then-invalidate sequence and must stay in step. *)
 
 let test_corruption_differential () =
   let p = compile "fib_rec" in
@@ -240,7 +217,7 @@ let test_corruption_differential () =
   in
   let md, dd = make `Decode in
   let mt, dt = make `Threaded in
-  (* warm the buffer so translations (and closures) exist *)
+  (* warm the buffer so translations exist *)
   ignore (Machine.run_dir_quantum md ~quantum:40);
   ignore (Machine.run_dir_quantum mt ~quantum:40);
   (* identical deterministic corruption on both, then the guard recovery *)
@@ -332,6 +309,48 @@ let test_fault_injected_backends () =
   in
   check_resilient "injected-fault" (run `Decode) (run `Threaded)
 
+(* -- Allocation bound on the DTB hot path --------------------------------------
+
+   A translation is paid for once per residence; the host DTB must not
+   pay for allocation on every hit, miss, install or eviction either.
+   Minor-heap words per simulated cycle are measured around [Machine.run]
+   through a [?runner], the way the benchmark traces the machine layer,
+   after one untimed run has warmed the per-domain build memos and the
+   long-code closure cache. *)
+
+let minor_words_per_cycle ~backend ~strategy p =
+  let words = ref 0. in
+  let runner m =
+    let w0 = Gc.minor_words () in
+    let status = Machine.run m in
+    words := Gc.minor_words () -. w0;
+    status
+  in
+  ignore (U.run ~backend ~strategy ~kind:Kind.Digram p);
+  let r = U.run ~backend ~runner ~strategy ~kind:Kind.Digram p in
+  !words /. float_of_int r.U.cycles
+
+let test_dtb_allocation_bound () =
+  List.iter
+    (fun workload ->
+      let p = compile workload in
+      List.iter
+        (fun (geometry, config) ->
+          List.iter
+            (fun (backend, bname) ->
+              let w =
+                minor_words_per_cycle ~backend
+                  ~strategy:(U.Dtb_strategy config) p
+              in
+              if w > 0.01 then
+                Alcotest.failf
+                  "%s/%s/%s: %.4f minor words per simulated cycle > 0.01"
+                  workload geometry bname w)
+            [ (`Decode, "decode"); (`Threaded, "threaded") ])
+        [ ("paper", Dtb.paper_config);
+          ("starved", List.hd (Experiment.capacity_configs ())) ])
+    [ "fib_rec"; "dispatch" ]
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -339,8 +358,6 @@ let suite =
     [
       Alcotest.test_case "golden suites, both backends" `Slow
         test_golden_backends;
-      Alcotest.test_case "corruption drop discipline" `Quick
-        test_corruption_drop_discipline;
       Alcotest.test_case "corrupt+invalidate differential" `Quick
         test_corruption_differential;
       Alcotest.test_case "mix policies, both backends" `Slow
@@ -349,6 +366,8 @@ let suite =
         test_fault_zero_backends;
       Alcotest.test_case "injected-fault driver, both backends" `Slow
         test_fault_injected_backends;
+      Alcotest.test_case "DTB hot path allocation bound" `Quick
+        test_dtb_allocation_bound;
       qcheck prop_backend_differential;
       qcheck prop_backend_sliced_invalidation;
     ] )

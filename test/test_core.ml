@@ -559,6 +559,286 @@ let prop_dtb_recency_matches_counter_lru =
           actual = Dtb_counter_ref.access reference tag)
         tags)
 
+(* Differential reference for the DTB's directory and buffer lists: the
+   list-based allocator (entries owning an overflow-block list, a free
+   list that released chains are prepended to) with no last-translation
+   cache, under Tagged sharing between two ASIDs.  The DTB keeps the same
+   lists as intrusive [int array] links; every operation must return the
+   same addresses and chain writes and leave the same counters. *)
+module Dtb_list_ref = struct
+  type entry = {
+    mutable tag : int;
+    mutable stamp : int;
+    mutable chain : int list; (* most recently linked block first *)
+    unit_addr : int;
+  }
+
+  type t = {
+    sets : int;
+    assoc : int;
+    unit_words : int;
+    ways : entry array array;
+    overflow_base : int;
+    overflow_blocks : int;
+    mutable free : int list;
+    mutable clock : int;
+    mutable current : int;
+    mutable open_entry : entry option;
+    mutable cursor : int;
+    mutable block_end : int;
+    mutable start : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable overflows : int;
+  }
+
+  let fresh_free t =
+    List.init t.overflow_blocks (fun i -> t.overflow_base + (i * t.unit_words))
+
+  let create (cfg : Dtb.config) ~buffer_base =
+    let sets = cfg.Dtb.sets and unit_words = cfg.Dtb.unit_words in
+    let assoc = if cfg.Dtb.assoc = 0 then sets else cfg.Dtb.assoc in
+    let ways =
+      Array.init sets (fun s ->
+          Array.init assoc (fun w ->
+              { tag = -1; stamp = -w; chain = [];
+                unit_addr = buffer_base + (((s * assoc) + w) * unit_words) }))
+    in
+    let t =
+      { sets; assoc; unit_words; ways;
+        overflow_base = buffer_base + (sets * assoc * unit_words);
+        overflow_blocks = cfg.Dtb.overflow_blocks; free = []; clock = 0;
+        current = 0; open_entry = None; cursor = 0; block_end = 0; start = 0;
+        hits = 0; misses = 0; evictions = 0; overflows = 0 }
+    in
+    t.free <- fresh_free t;
+    t
+
+  let key t tag = (tag lsl 1) lor t.current
+  let set_of t tag = (tag lxor (tag lsr 7)) land (t.sets - 1)
+
+  let touch t e =
+    t.clock <- t.clock + 1;
+    e.stamp <- t.clock
+
+  let release t e =
+    t.free <- e.chain @ t.free;
+    e.chain <- []
+
+  let probe t tag =
+    let k = key t tag in
+    match List.find_opt (fun e -> e.tag = k) (Array.to_list t.ways.(set_of t tag)) with
+    | Some e ->
+        t.hits <- t.hits + 1;
+        touch t e;
+        e.unit_addr
+    | None ->
+        t.misses <- t.misses + 1;
+        -1
+
+  let resident_key t tag =
+    Array.exists (fun e -> e.tag = key t tag) t.ways.(set_of t tag)
+
+  let begin_translation t tag =
+    if t.open_entry <> None then failwith "open";
+    let ways = t.ways.(set_of t tag) in
+    let victim =
+      Array.fold_left (fun v e -> if e.stamp < v.stamp then e else v) ways.(0) ways
+    in
+    if victim.tag >= 0 then begin
+      t.evictions <- t.evictions + 1;
+      release t victim
+    end;
+    victim.tag <- key t tag;
+    touch t victim;
+    t.open_entry <- Some victim;
+    t.cursor <- victim.unit_addr;
+    t.block_end <- victim.unit_addr + t.unit_words - 1;
+    t.start <- victim.unit_addr
+
+  let emit t =
+    match t.open_entry with
+    | None -> failwith "not open"
+    | Some e ->
+        if t.cursor < t.block_end then begin
+          t.cursor <- t.cursor + 1;
+          (t.cursor - 1, None)
+        end
+        else begin
+          match t.free with
+          | [] -> failwith "exhausted"
+          | b :: rest ->
+              t.free <- rest;
+              t.overflows <- t.overflows + 1;
+              e.chain <- b :: e.chain;
+              let goto = (t.block_end, Uhm_machine.Short_format.(pack Goto b)) in
+              t.cursor <- b + 1;
+              t.block_end <- b + t.unit_words - 1;
+              (b, Some goto)
+        end
+
+  let end_translation t =
+    if t.open_entry = None then failwith "not open";
+    t.open_entry <- None;
+    t.start
+
+  let drop t e =
+    e.tag <- -1;
+    release t e
+
+  let abort t =
+    match t.open_entry with
+    | None -> failwith "not open"
+    | Some e ->
+        drop t e;
+        t.open_entry <- None
+
+  let invalidate t tag =
+    if t.open_entry <> None then failwith "open";
+    let k = key t tag in
+    Array.fold_left
+      (fun hit e -> if e.tag = k then (drop t e; true) else hit)
+      false t.ways.(set_of t tag)
+
+  let invalidate_asid t asid =
+    if t.open_entry <> None then failwith "open";
+    Array.fold_left
+      (fun n ways ->
+        Array.fold_left
+          (fun n e ->
+            if e.tag >= 0 && e.tag land 1 = asid then (drop t e; n + 1) else n)
+          n ways)
+      0 t.ways
+
+  let flush t =
+    if t.open_entry <> None then failwith "open";
+    Array.iter
+      (Array.iteri (fun w e -> e.tag <- -1; e.stamp <- -w; e.chain <- []))
+      t.ways;
+    t.free <- fresh_free t
+
+  let resident t =
+    Array.fold_left
+      (fun n ways ->
+        Array.fold_left (fun n e -> if e.tag >= 0 then n + 1 else n) n ways)
+      0 t.ways
+end
+
+type dtb_op =
+  | Probe of int
+  | Begin of int
+  | Emit of bool (* through the [emit] list view *)
+  | End
+  | Abort
+  | Invalidate of int
+  | Invalidate_asid of int
+  | Flush
+  | Switch of int
+
+let dtb_op_to_string = function
+  | Probe t -> Printf.sprintf "probe %d" t
+  | Begin t -> Printf.sprintf "begin %d" t
+  | Emit v -> if v then "emit(view)" else "emit"
+  | End -> "end"
+  | Abort -> "abort"
+  | Invalidate t -> Printf.sprintf "invalidate %d" t
+  | Invalidate_asid a -> Printf.sprintf "invalidate_asid %d" a
+  | Flush -> "flush"
+  | Switch a -> Printf.sprintf "switch %d" a
+
+let prop_dtb_lists_match_reference =
+  let tag = QCheck.Gen.int_bound 40 and asid = QCheck.Gen.int_bound 1 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (5, map (fun t -> Probe t) tag); (3, map (fun t -> Begin t) tag);
+          (6, map (fun v -> Emit v) bool); (3, return End); (1, return Abort);
+          (1, map (fun t -> Invalidate t) tag);
+          (1, map (fun a -> Invalidate_asid a) asid); (1, return Flush);
+          (1, map (fun a -> Switch a) asid) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl
+           [ (1, 2, 2, 1); (2, 2, 3, 2); (4, 1, 4, 3); (4, 2, 2, 0);
+             (2, 0, 3, 4); (1, 4, 2, 6) ])
+        bool
+        (list_size (int_range 1 250) op))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"dtb intrusive lists = list-based reference model"
+    (QCheck.make
+       ~print:(fun ((s, a, u, o), last_cache, ops) ->
+         Printf.sprintf "sets=%d assoc=%d unit=%d overflow=%d last_cache=%b [%s]"
+           s a u o last_cache
+           (String.concat "; " (List.map dtb_op_to_string ops)))
+       gen)
+    (fun ((sets, assoc, unit_words, overflow_blocks), last_cache, ops) ->
+      let cfg = { Dtb.sets; assoc; unit_words; overflow_blocks } in
+      let dtb =
+        Dtb.create_shared ~last_cache ~policy:Dtb.Tagged ~programs:2 cfg
+          ~buffer_base:100
+      in
+      let model = Dtb_list_ref.create cfg ~buffer_base:100 in
+      let outcome f = try Ok (f ()) with Failure _ -> Error () in
+      List.for_all
+        (fun op ->
+          let actual, expected =
+            let module M = Dtb_list_ref in
+            match op with
+            | Probe tag ->
+                ( outcome (fun () -> `Addr (Dtb.probe dtb ~tag)),
+                  outcome (fun () -> `Addr (M.probe model tag)) )
+            | Begin tag when M.resident_key model tag ->
+                (* the INTERP protocol installs only after a miss *)
+                (Ok (`Unit ()), Ok (`Unit ()))
+            | Begin tag ->
+                ( outcome (fun () -> `Unit (Dtb.begin_translation dtb ~tag)),
+                  outcome (fun () -> `Unit (M.begin_translation model tag)) )
+            | Emit view ->
+                ( outcome (fun () ->
+                      if view then
+                        match Dtb.emit dtb 0 with
+                        | addr, [] -> `Emit (addr, None)
+                        | addr, [ goto ] -> `Emit (addr, Some goto)
+                        | _ -> `Unit ()
+                      else
+                        let addr = Dtb.emit_addr dtb 0 in
+                        `Emit
+                          ( addr,
+                            if Dtb.chain_addr dtb < 0 then None
+                            else Some (Dtb.chain_addr dtb, Dtb.chain_word dtb) )),
+                  outcome (fun () -> `Emit (M.emit model)) )
+            | End ->
+                ( outcome (fun () -> `Addr (Dtb.end_translation dtb)),
+                  outcome (fun () -> `Addr (M.end_translation model)) )
+            | Abort ->
+                ( outcome (fun () -> `Unit (Dtb.abort_translation dtb)),
+                  outcome (fun () -> `Unit (M.abort model)) )
+            | Invalidate tag ->
+                ( outcome (fun () -> `Bool (Dtb.invalidate dtb ~tag)),
+                  outcome (fun () -> `Bool (M.invalidate model tag)) )
+            | Invalidate_asid asid ->
+                ( outcome (fun () -> `Addr (Dtb.invalidate_asid dtb ~asid)),
+                  outcome (fun () -> `Addr (M.invalidate_asid model asid)) )
+            | Flush ->
+                ( outcome (fun () -> `Unit (Dtb.flush dtb)),
+                  outcome (fun () -> `Unit (M.flush model)) )
+            | Switch asid ->
+                Dtb.switch_to dtb ~asid;
+                model.M.current <- asid;
+                (Ok (`Unit ()), Ok (`Unit ()))
+          in
+          actual = expected
+          && Dtb.hits dtb = model.Dtb_list_ref.hits
+          && Dtb.misses dtb = model.Dtb_list_ref.misses
+          && Dtb.evictions dtb = model.Dtb_list_ref.evictions
+          && Dtb.overflow_allocations dtb = model.Dtb_list_ref.overflows
+          && Dtb.resident_entries dtb = Dtb_list_ref.resident model)
+        ops)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -612,4 +892,5 @@ let suite =
         test_assoc_four_way_near_full;
       qcheck prop_machine_differential;
       qcheck prop_dtb_recency_matches_counter_lru;
+      qcheck prop_dtb_lists_match_reference;
     ] )

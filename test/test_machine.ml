@@ -365,7 +365,7 @@ let test_engine_short_execution () =
   Machine.poke m 303 (SF.pack SF.Goto 305);
   Machine.poke m 304 (SF.pack SF.Push_imm 999); (* skipped by the goto *)
   Machine.poke m 305 (SF.pack SF.Call_long b_resolved_fin);
-  Machine.set_pc m (Machine.Short 300);
+  Machine.set_pc_short m 300;
   run_to_halt m;
   Alcotest.(check string) "output" "7\n" (Machine.output m);
   check_int "short instructions" 5 (Machine.stats m).Machine.short_instrs
@@ -439,7 +439,7 @@ let test_engine_emit_and_end_trans_hooks () =
         (fun m ->
           (* a one-word short program: call the long halt routine *)
           Machine.poke m 500 (SF.pack SF.Call_long halt_routine);
-          Machine.set_pc m (Machine.Short 500));
+          Machine.set_pc_short m 500);
       h_decode_assist = (fun _ -> ());
     };
   Machine.set_reg m R.sp 100;
@@ -507,7 +507,7 @@ let test_engine_category_attribution () =
       ~regions:default_regions ()
   in
   Machine.set_reg m R.rsp 200;
-  Machine.set_pc m (Machine.Long entry);
+  Machine.set_pc_long m entry;
   run_to_halt m;
   let stats = Machine.stats m in
   let decode = stats.Machine.cat_cycles.(Machine.category_index Asm.Decode) in

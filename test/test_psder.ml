@@ -87,7 +87,7 @@ let check_decoder_equivalence ~what kind (p : Program.t) =
       Machine.set_reg m R.dpc encoded.Codec.offsets.(i);
       Machine.set_reg m R.ctx contour_map.(i);
       Machine.set_reg m R.dctx digram_ctxs.(i);
-      Machine.set_pc m (Machine.Long driver_entry);
+      Machine.set_pc_long m driver_entry;
       run_to_halt (Printf.sprintf "%s/%s decode of instr %d" what (Kind.name kind) i) m;
       let raw =
         Codec.decode_at encoded ~contour:contour_map.(i)
@@ -169,7 +169,7 @@ let drive_routine ?(setup = fun _ -> ()) routine stack =
       Machine.poke m sp v;
       Machine.set_reg m R.sp (sp + 1))
     stack;
-  Machine.set_pc m (Machine.Long entry);
+  Machine.set_pc_long m entry;
   run_to_halt "routine" m;
   m
 
@@ -274,7 +274,7 @@ let test_rt_division_by_zero_traps () =
       Machine.poke m sp v;
       Machine.set_reg m R.sp (sp + 1))
     [ 5; 0 ];
-  Machine.set_pc m (Machine.Long entry);
+  Machine.set_pc_long m entry;
   match Machine.run m with
   | Machine.Trapped msg ->
       Alcotest.(check bool) "mentions zero" true
